@@ -73,9 +73,9 @@ struct LiveObservation {
 // recovery from the durable prefix.
 //
 // Checkpoints bound the journal: Checkpoint() (or the automatic
-// checkpoint_every_pages trigger) persists the historical tree's pages
-// through a write-back BufferPool plus the pipeline/index state into the
-// journal backend, syncs, commits a checkpoint header, and then frees
+// checkpoint_every_pages trigger) encodes the historical tree's pages
+// straight into the journal backend, plus the pipeline/index state,
+// syncs, commits a checkpoint header, and then frees
 // every journal page before the checkpoint — the file's page count
 // stays bounded across arbitrarily long streams.
 //

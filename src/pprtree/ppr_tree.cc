@@ -1,10 +1,7 @@
 #include "pprtree/ppr_tree.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <cstring>
-#include <fstream>
 #include <limits>
 #include <optional>
 #include <unordered_set>
@@ -84,8 +81,8 @@ class PprTree::Node : public Page {
 // Serializes nodes to sealed pages. Payload layout (little-endian):
 //   int32   level
 //   Time    created, closed
-//   uint64  entry count (encode CHECKs the fanout bound; Load tolerates
-//           max_entries + 1 for transient states, the codec matches)
+//   uint64  entry count (at most max_entries + 1, for transient states;
+//           encode CHECKs the bound, decode rejects more)
 //   entries: Rect2D (32 bytes), TimeInterval (16 bytes), PageId, PprDataId
 class PprTree::NodeCodec : public PageCodec {
  public:
@@ -151,7 +148,7 @@ PprTree::PprTree(PprConfig config) : config_(config) {
   STINDEX_CHECK(config_.p_svu > config_.p_version);
   STINDEX_CHECK(config_.p_svo > config_.p_svu && config_.p_svo <= 1.0);
   store_.SetMetricScope("ppr");
-  buffer_ = std::make_unique<BufferPool>(&store_, config_.buffer_pages, "ppr");
+  OpenSerialCache();
   // The strong-version window must leave room to insert into a fresh node.
   STINDEX_CHECK(StrongMax() < config_.max_entries);
   STINDEX_CHECK(WeakMin() >= 1);
@@ -182,20 +179,10 @@ PprTree::Node* PprTree::GetNode(PageId id) const {
   return static_cast<Node*>(store_.Get(id));
 }
 
-std::unique_ptr<BufferPool> PprTree::NewQueryBuffer(size_t pages) const {
-  const size_t capacity = pages == 0 ? config_.buffer_pages : pages;
-  if (backend_ != nullptr) {
-    return std::make_unique<BufferPool>(backend_.get(), codec_.get(), capacity,
-                                        "ppr");
-  }
-  return std::make_unique<BufferPool>(&store_, capacity, "ppr");
-}
-
 std::unique_ptr<SharedBufferPool> PprTree::NewSharedQueryPool(
     size_t pages) const {
   SharedBufferPoolOptions options;
   options.capacity = pages == 0 ? config_.buffer_pages : pages;
-  options.pin_overflow = true;
   options.metric_scope = "ppr.shared";
   if (backend_ != nullptr) {
     return std::make_unique<SharedBufferPool>(backend_.get(), codec_.get(),
@@ -204,21 +191,20 @@ std::unique_ptr<SharedBufferPool> PprTree::NewSharedQueryPool(
   return std::make_unique<SharedBufferPool>(&store_, options);
 }
 
+void PprTree::OpenSerialCache() {
+  session_.reset();
+  pool_ = NewSharedQueryPool();
+  session_ = std::make_unique<SharedBufferPool::Session>(pool_.get(),
+                                                         config_.buffer_pages);
+}
+
 Status PprTree::PersistAllNodes() {
-  // A write-back pool sized like the query buffer: with more nodes than
-  // frames, dirty evictions stream pages to the backend while the tail is
-  // flushed explicitly — the real write path, not a bulk memcpy.
-  BufferPool writer(backend_.get(), codec_.get(), config_.buffer_pages, "ppr");
   for (PageId id = 0; id < store_.AllocatedCount(); ++id) {
     if (!store_.IsLive(id)) continue;
-    const Node* node = GetNode(id);
-    auto clone = std::make_unique<Node>(node->level(), node->created());
-    if (node->closed() != kTimeInfinity) clone->Close(node->closed());
-    clone->entries() = node->entries();
-    Status status = writer.Put(id, std::move(clone));
+    Status status = EncodeAndWrite(*codec_, *GetNode(id), id, backend_.get());
     if (!status.ok()) return status;
   }
-  return writer.FlushAll();
+  return Status::OK();
 }
 
 Status PprTree::AttachBackend(std::unique_ptr<PageBackend> backend) {
@@ -235,8 +221,7 @@ Status PprTree::AttachBackend(std::unique_ptr<PageBackend> backend) {
     backend_.reset();
     return status;
   }
-  buffer_ = std::make_unique<BufferPool>(backend_.get(), codec_.get(),
-                                         config_.buffer_pages, "ppr");
+  OpenSerialCache();
   return Status::OK();
 }
 
@@ -298,8 +283,7 @@ Status PprTree::PackSnapshot(const std::string& path,
   if (!backend.ok()) return backend.status();
   backend_ = std::move(backend).value();
   codec_ = std::make_unique<NodeCodec>(config_.max_entries);
-  buffer_ = std::make_unique<BufferPool>(backend_.get(), codec_.get(),
-                                         config_.buffer_pages, "ppr");
+  OpenSerialCache();
   return Status::OK();
 }
 
@@ -319,8 +303,8 @@ void PprTree::StartNewEra(PageId root, Time t) {
 }
 
 void PprTree::ResetQueryState() const {
-  buffer_->ResetCache();
-  buffer_->ResetStats();
+  session_->ResetCache();
+  session_->ResetStats();
 }
 
 PageId PprTree::MakeNode(int level, std::vector<Entry> entries, Time now) {
@@ -760,12 +744,12 @@ void PprTree::KeySplit(std::vector<Entry>* entries, std::vector<Entry>* left,
 
 void PprTree::SnapshotQuery(const Rect2D& area, Time t,
                             std::vector<PprDataId>* results) const {
-  SnapshotQuery(area, t, buffer_.get(), results);
+  SnapshotQuery(area, t, session_.get(), results);
 }
 
 void PprTree::IntervalQuery(const Rect2D& area, const TimeInterval& range,
                             std::vector<PprDataId>* results) const {
-  IntervalQuery(area, range, buffer_.get(), results);
+  IntervalQuery(area, range, session_.get(), results);
 }
 
 void PprTree::SnapshotQuery(const Rect2D& area, Time t, PageCache* buffer,
@@ -897,7 +881,7 @@ std::vector<PprTree::AliveNodeSummary> PprTree::CollectAliveSummaries(
 }
 
 size_t PprTree::SnapshotCount(const Rect2D& area, Time t) const {
-  return SnapshotCount(area, t, buffer_.get());
+  return SnapshotCount(area, t, session_.get());
 }
 
 size_t PprTree::SnapshotCount(const Rect2D& area, Time t,
@@ -1028,180 +1012,6 @@ void PprTree::CheckInvariants() const {
   }
 }
 
-namespace {
-
-// On-disk layout (all pages exactly kPageSize bytes):
-//   page 0            header: magic, config, size, time, era/page counts
-//   journal pages     packed (start, root) era records
-//   one page per node level, created, closed, entry count, entries
-constexpr char kPprMagic[8] = {'P', 'P', 'R', 'T', '0', '0', '0', '2'};
-constexpr size_t kEraBytes = sizeof(Time) + sizeof(PageId);
-
-bool WritePage(std::ostream& out, const std::array<uint8_t, kPageSize>& page) {
-  out.write(reinterpret_cast<const char*>(page.data()), kPageSize);
-  return static_cast<bool>(out);
-}
-
-bool ReadPage(std::istream& in, std::array<uint8_t, kPageSize>* page) {
-  in.read(reinterpret_cast<char*>(page->data()), kPageSize);
-  return static_cast<bool>(in);
-}
-
-}  // namespace
-
-Status PprTree::Save(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::InvalidArgument("cannot write '" + path + "'");
-
-  std::array<uint8_t, kPageSize> page{};
-  {
-    PageWriter header(page.data(), kPageSize);
-    header.WriteBytes(kPprMagic, sizeof(kPprMagic));
-    header.Write(config_.max_entries);
-    header.Write(config_.p_version);
-    header.Write(config_.p_svo);
-    header.Write(config_.p_svu);
-    header.Write(config_.buffer_pages);
-    header.Write(size_);
-    header.Write(current_time_);
-    header.Write(roots_.size());
-    header.Write(store_.AllocatedCount());
-    if (!WritePage(out, page)) {
-      return Status::InvalidArgument("write failed for '" + path + "'");
-    }
-  }
-
-  // Root journal, packed across pages.
-  {
-    const size_t eras_per_page = kPageSize / kEraBytes;
-    size_t cursor = 0;
-    while (cursor < roots_.size()) {
-      page.fill(0);
-      PageWriter writer(page.data(), kPageSize);
-      for (size_t i = 0; i < eras_per_page && cursor < roots_.size();
-           ++i, ++cursor) {
-        writer.Write(roots_[cursor].start);
-        writer.Write(roots_[cursor].root);
-      }
-      if (!WritePage(out, page)) {
-        return Status::InvalidArgument("write failed for '" + path + "'");
-      }
-    }
-  }
-
-  // One page per node.
-  for (PageId id = 0; id < store_.AllocatedCount(); ++id) {
-    const Node* node = GetNode(id);
-    page.fill(0);
-    PageWriter writer(page.data(), kPageSize);
-    writer.Write(node->level());
-    writer.Write(node->created());
-    writer.Write(node->closed());
-    writer.Write(node->entries().size());
-    for (const Entry& entry : node->entries()) {
-      writer.Write(entry.rect);
-      writer.Write(entry.lifetime);
-      writer.Write(entry.child);
-      writer.Write(entry.data);
-    }
-    if (!WritePage(out, page)) {
-      return Status::InvalidArgument("write failed for '" + path + "'");
-    }
-  }
-  out.flush();
-  if (!out) return Status::InvalidArgument("write failed for '" + path + "'");
-  return Status::OK();
-}
-
-Result<std::unique_ptr<PprTree>> PprTree::Load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open '" + path + "'");
-
-  std::array<uint8_t, kPageSize> page{};
-  if (!ReadPage(in, &page)) {
-    return Status::InvalidArgument("truncated PPR-tree header");
-  }
-  PageReader header(page.data(), kPageSize);
-  char magic[8];
-  if (!header.ReadBytes(magic, sizeof(magic)) ||
-      std::memcmp(magic, kPprMagic, sizeof(magic)) != 0) {
-    return Status::InvalidArgument("'" + path + "' is not a PPR-tree file");
-  }
-  PprConfig config;
-  size_t root_count = 0;
-  size_t pages = 0;
-  std::unique_ptr<PprTree> tree;
-  size_t size = 0;
-  Time current_time = 0;
-  if (!header.Read(&config.max_entries) || !header.Read(&config.p_version) ||
-      !header.Read(&config.p_svo) || !header.Read(&config.p_svu) ||
-      !header.Read(&config.buffer_pages) || !header.Read(&size) ||
-      !header.Read(&current_time) || !header.Read(&root_count) ||
-      !header.Read(&pages)) {
-    return Status::InvalidArgument("truncated PPR-tree header");
-  }
-  if (config.max_entries == 0 || config.max_entries > 4096 ||
-      config.p_version <= 0.0 || config.p_version >= 1.0) {
-    return Status::InvalidArgument("implausible PPR-tree configuration");
-  }
-  tree = std::make_unique<PprTree>(config);
-  tree->size_ = size;
-  tree->current_time_ = current_time;
-
-  // Root journal.
-  const size_t eras_per_page = kPageSize / kEraBytes;
-  for (size_t cursor = 0; cursor < root_count;) {
-    if (!ReadPage(in, &page)) {
-      return Status::InvalidArgument("truncated root journal");
-    }
-    PageReader reader(page.data(), kPageSize);
-    for (size_t i = 0; i < eras_per_page && cursor < root_count;
-         ++i, ++cursor) {
-      RootEra era;
-      if (!reader.Read(&era.start) || !reader.Read(&era.root)) {
-        return Status::InvalidArgument("truncated root journal");
-      }
-      tree->roots_.push_back(era);
-    }
-  }
-
-  // Nodes, one page each.
-  for (PageId id = 0; id < pages; ++id) {
-    if (!ReadPage(in, &page)) {
-      return Status::InvalidArgument("truncated node page");
-    }
-    PageReader reader(page.data(), kPageSize);
-    int level = 0;
-    Time created = 0, closed = 0;
-    size_t entry_count = 0;
-    if (!reader.Read(&level) || !reader.Read(&created) ||
-        !reader.Read(&closed) || !reader.Read(&entry_count) ||
-        entry_count > config.max_entries + 1) {
-      return Status::InvalidArgument("corrupt node page");
-    }
-    auto node = std::make_unique<Node>(level, created);
-    if (closed != kTimeInfinity) node->Close(closed);
-    node->entries().resize(entry_count);
-    for (Entry& entry : node->entries()) {
-      if (!reader.Read(&entry.rect) || !reader.Read(&entry.lifetime) ||
-          !reader.Read(&entry.child) || !reader.Read(&entry.data)) {
-        return Status::InvalidArgument("corrupt node page");
-      }
-      // Rebuild the alive-record and alive-parent maps.
-      if (entry.IsAlive()) {
-        if (level == 0) {
-          tree->alive_location_[entry.data] = id;
-        } else {
-          tree->parent_of_[entry.child] = id;
-        }
-      }
-    }
-    const PageId allocated = tree->store_.Allocate(std::move(node));
-    STINDEX_CHECK(allocated == id);
-  }
-  return tree;
-}
-
 void PprTree::EncodeCheckpointMeta(ByteSink* out) const {
   out->Write(static_cast<uint64_t>(size_));
   out->Write(current_time_);
@@ -1239,25 +1049,12 @@ Status PprTree::PersistNodesForCheckpoint(
   // read-only backend, and ids stay contiguous 0..NodeCount()-1.
   STINDEX_CHECK(slots.size() == store_.AllocatedCount());
   const NodeCodec codec(config_.max_entries);
-  // Write-back pool sized like the query buffer: dirty evictions stream
-  // pages out while the tail is flushed explicitly — the same real write
-  // path AttachBackend persists through.
-  BufferPool writer(backend, &codec, config_.buffer_pages);
   for (PageId id = 0; id < store_.AllocatedCount(); ++id) {
     if (!store_.IsLive(id)) continue;
-    const Node* node = GetNode(id);
-    auto clone = std::make_unique<Node>(node->level(), node->created());
-    if (node->closed() != kTimeInfinity) clone->Close(node->closed());
-    clone->entries() = node->entries();
-    Status status = writer.Put(slots[id], std::move(clone));
-    if (!status.ok()) {
-      writer.DiscardAll();  // the shadow slots are garbage; do not flush
-      return status;
-    }
+    Status status = EncodeAndWrite(codec, *GetNode(id), slots[id], backend);
+    if (!status.ok()) return status;
   }
-  Status status = writer.FlushAll();
-  if (!status.ok()) writer.DiscardAll();
-  return status;
+  return Status::OK();
 }
 
 Status PprTree::InstallCheckpointNode(PageId id, const uint8_t* page) {

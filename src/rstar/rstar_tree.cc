@@ -106,36 +106,27 @@ RStarTree::RStarTree(RStarConfig config) : config_(config) {
   STINDEX_CHECK(config_.reinsert_count >= 1);
   STINDEX_CHECK(config_.reinsert_count < config_.max_entries);
   store_.SetMetricScope("rstar");
-  buffer_ = std::make_unique<BufferPool>(&store_, config_.buffer_pages, "rstar");
+  OpenSerialCache();
 }
 
 RStarTree::~RStarTree() {
   if (root_ != kInvalidPage) {
     MetricRegistry::Global().GetGauge("rstar.height")->SetMax(Height());
   }
-  // The default buffer publishes its lifetime I/O; it must die before the
+  // The serial pool publishes its lifetime I/O; it must die before the
   // store it reads from.
-  buffer_.reset();
+  session_.reset();
+  pool_.reset();
 }
 
 RStarTree::Node* RStarTree::GetNode(PageId id) const {
   return static_cast<Node*>(store_.Get(id));
 }
 
-std::unique_ptr<BufferPool> RStarTree::NewQueryBuffer(size_t pages) const {
-  const size_t capacity = pages == 0 ? config_.buffer_pages : pages;
-  if (backend_ != nullptr) {
-    return std::make_unique<BufferPool>(backend_.get(), codec_.get(), capacity,
-                                        "rstar");
-  }
-  return std::make_unique<BufferPool>(&store_, capacity, "rstar");
-}
-
 std::unique_ptr<SharedBufferPool> RStarTree::NewSharedQueryPool(
     size_t pages) const {
   SharedBufferPoolOptions options;
   options.capacity = pages == 0 ? config_.buffer_pages : pages;
-  options.pin_overflow = true;
   options.metric_scope = "rstar.shared";
   if (backend_ != nullptr) {
     return std::make_unique<SharedBufferPool>(backend_.get(), codec_.get(),
@@ -144,21 +135,20 @@ std::unique_ptr<SharedBufferPool> RStarTree::NewSharedQueryPool(
   return std::make_unique<SharedBufferPool>(&store_, options);
 }
 
+void RStarTree::OpenSerialCache() {
+  session_.reset();
+  pool_ = NewSharedQueryPool();
+  session_ = std::make_unique<SharedBufferPool::Session>(pool_.get(),
+                                                         config_.buffer_pages);
+}
+
 Status RStarTree::PersistAllNodes() {
-  // A write-back pool sized like the query buffer: with more nodes than
-  // frames, dirty evictions stream pages to the backend while the tail is
-  // flushed explicitly — the real write path, not a bulk memcpy.
-  BufferPool writer(backend_.get(), codec_.get(), config_.buffer_pages,
-                    "rstar");
   for (PageId id = 0; id < store_.AllocatedCount(); ++id) {
     if (!store_.IsLive(id)) continue;
-    const Node* node = GetNode(id);
-    auto clone = std::make_unique<Node>(node->level());
-    clone->entries() = node->entries();
-    Status status = writer.Put(id, std::move(clone));
+    Status status = EncodeAndWrite(*codec_, *GetNode(id), id, backend_.get());
     if (!status.ok()) return status;
   }
-  return writer.FlushAll();
+  return Status::OK();
 }
 
 Status RStarTree::AttachBackend(std::unique_ptr<PageBackend> backend) {
@@ -175,8 +165,7 @@ Status RStarTree::AttachBackend(std::unique_ptr<PageBackend> backend) {
     backend_.reset();
     return status;
   }
-  buffer_ = std::make_unique<BufferPool>(backend_.get(), codec_.get(),
-                                         config_.buffer_pages, "rstar");
+  OpenSerialCache();
   return Status::OK();
 }
 
@@ -230,8 +219,7 @@ Status RStarTree::PackSnapshot(const std::string& path,
   if (!backend.ok()) return backend.status();
   backend_ = std::move(backend).value();
   codec_ = std::make_unique<NodeCodec>(config_.max_entries);
-  buffer_ = std::make_unique<BufferPool>(backend_.get(), codec_.get(),
-                                         config_.buffer_pages, "rstar");
+  OpenSerialCache();
   return Status::OK();
 }
 
@@ -241,8 +229,8 @@ size_t RStarTree::Height() const {
 }
 
 void RStarTree::ResetQueryState() const {
-  buffer_->ResetCache();
-  buffer_->ResetStats();
+  session_->ResetCache();
+  session_->ResetStats();
 }
 
 namespace {
@@ -1026,7 +1014,7 @@ void RStarTree::NearestNeighbors(const double point[3], size_t k,
       results->push_back(top.data);
       continue;
     }
-    const PageRef ref = buffer_->FetchPinned(top.node);
+    const PageRef ref = session_->FetchPinned(top.node);
     const Node* node = static_cast<const Node*>(ref.get());
     for (const Node::Entry& entry : node->entries()) {
       const double distance = MinDistance2(point, entry.box);
@@ -1041,7 +1029,7 @@ void RStarTree::NearestNeighbors(const double point[3], size_t k,
 
 void RStarTree::Search(const Box3D& query,
                        std::vector<DataId>* results) const {
-  Search(query, buffer_.get(), results);
+  Search(query, session_.get(), results);
 }
 
 void RStarTree::Search(const Box3D& query, PageCache* buffer,

@@ -9,13 +9,13 @@
 #include "storage/buffer_pool.h"
 #include "storage/page_backend.h"
 #include "storage/page_store.h"
+#include "storage/shared_buffer_pool.h"
 #include "storage/snapshot_file.h"
 #include "util/status.h"
 
 namespace stindex {
 
 struct QueryProfile;
-class SharedBufferPool;
 
 // Opaque payload attached to a leaf entry (a segment-record index in the
 // experiments; callers de-duplicate by object after lookup).
@@ -101,33 +101,30 @@ class RStarTree {
   void Search(const Box3D& query, std::vector<DataId>* results) const;
 
   // Same, through a caller-owned page cache (one per querying thread): a
-  // private BufferPool (NewQueryBuffer) or a per-worker Session of one
-  // SharedBufferPool (NewSharedQueryPool). When `profile` is non-null,
-  // per-level node visits, buffer hit/miss deltas, leaf entries scanned
-  // and candidate counts are accumulated into it (see
-  // core/query_profile.h); nullptr skips all profiling work.
+  // per-worker Session of one SharedBufferPool (NewSharedQueryPool).
+  // When `profile` is non-null, per-level node visits, buffer hit/miss
+  // deltas, leaf entries scanned and candidate counts are accumulated
+  // into it (see core/query_profile.h); nullptr skips all profiling work.
   void Search(const Box3D& query, PageCache* buffer,
               std::vector<DataId>* results,
               QueryProfile* profile = nullptr) const;
 
-  // A fresh LRU buffer over this tree's pages (0 = configured default).
-  // After AttachBackend the buffer reads (and decodes) real pages from
-  // the backend; before, it fronts the in-memory store.
-  std::unique_ptr<BufferPool> NewQueryBuffer(size_t pages = 0) const;
-
   // A sharded thread-safe pool over this tree's pages whose `pages`
-  // frames (0 = the configured default) are shared by every worker —
-  // total capacity, unlike one NewQueryBuffer per worker. Workers query
-  // through per-worker SharedBufferPool::Sessions; pin overflow is
-  // enabled (queries hold one transient pin each).
+  // frames (0 = the configured default) are shared by every worker.
+  // Workers query through per-worker SharedBufferPool::Sessions; a
+  // Session with protocol_pages = `pages` counts the paper's per-query
+  // misses. After AttachBackend/PackSnapshot the pool reads (and
+  // decodes) real pages from the backend; before, it fronts the
+  // in-memory store.
   std::unique_ptr<SharedBufferPool> NewSharedQueryPool(size_t pages = 0) const;
 
-  // Serializes every node into `backend` through a pinning write-back
-  // buffer pool (dirty evictions perform real page writes), then serves
-  // all subsequent queries from the backend: buffer misses become actual
-  // backend reads. The tree is frozen afterwards — Insert/Delete become
-  // checked errors. Page ids are preserved, so query I/O counts are
-  // identical to the in-memory tree's.
+  // Encodes every live node and writes it to `backend` (one page write
+  // per node), then serves all subsequent queries from the backend:
+  // buffer misses become actual backend reads. The tree is frozen
+  // afterwards — Insert/Delete become checked errors. Page ids are
+  // preserved, so query I/O counts are identical to the in-memory
+  // tree's. A write failure is returned naming the page, and the tree
+  // stays in memory.
   Status AttachBackend(std::unique_ptr<PageBackend> backend);
 
   // Packs the live nodes into a read-only snapshot file at `path` and
@@ -153,8 +150,9 @@ class RStarTree {
   // Tree height (1 = root is a leaf); 0 when empty.
   size_t Height() const;
 
-  // Query I/O statistics; misses are "disk accesses".
-  const IoStats& stats() const { return buffer_->stats(); }
+  // Query I/O statistics of the serial query overloads (a protocol
+  // Session of buffer_pages frames); misses are "disk accesses".
+  const IoStats& stats() const { return session_->stats(); }
   void ResetQueryState() const;
 
   // Validates structural invariants (entry counts, MBR containment,
@@ -176,8 +174,12 @@ class RStarTree {
 
   Node* GetNode(PageId id) const;
 
-  // Writes every live node to backend_ via a write-back pool.
+  // Writes every live node to backend_ at its own id.
   Status PersistAllNodes();
+
+  // Points the serial query overloads at a fresh NewSharedQueryPool (over
+  // the backend once one is attached) and a protocol Session on it.
+  void OpenSerialCache();
 
   // Descends from the root to a node at `target_level`, recording the
   // path (page ids and the entry index taken in each parent).
@@ -206,11 +208,12 @@ class RStarTree {
 
   RStarConfig config_;
   mutable PageStore store_;
-  // Declared before buffer_ so every pool dies before the backend and
-  // codec it borrows.
+  // Destroyed bottom-up: the session before the pool it views, the pool
+  // before the backend and codec it borrows.
   std::unique_ptr<PageBackend> backend_;
   std::unique_ptr<PageCodec> codec_;
-  std::unique_ptr<BufferPool> buffer_;
+  std::unique_ptr<SharedBufferPool> pool_;
+  std::unique_ptr<SharedBufferPool::Session> session_;
   PageId root_ = kInvalidPage;
   size_t size_ = 0;
   // Levels on which forced reinsertion already ran during the current

@@ -109,6 +109,9 @@ Result<std::unique_ptr<FilePageBackend>> FilePageBackend::Open(
     const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDWR);
   if (fd < 0) {
+    // An absent file is NotFound, so callers can tell "nothing persisted
+    // yet" from an I/O failure.
+    if (errno == ENOENT) return Status::NotFound(Errno("open(" + path + ")"));
     return Status::IoError(Errno("open(" + path + ")"));
   }
   uint8_t header[kPageSize];

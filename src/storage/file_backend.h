@@ -53,7 +53,7 @@ class FilePageBackend : public PageBackend {
 
   // Opens an existing page file, validating magic, checksum, format
   // version, page size and file-size consistency (a truncated file is
-  // InvalidArgument, not a crash later).
+  // InvalidArgument, not a crash later; an absent one is NotFound).
   static Result<std::unique_ptr<FilePageBackend>> Open(
       const std::string& path);
 

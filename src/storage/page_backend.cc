@@ -4,6 +4,18 @@
 
 namespace stindex {
 
+Status EncodeAndWrite(const PageCodec& codec, const Page& page, PageId id,
+                      PageBackend* backend) {
+  uint8_t buffer[kPageSize];
+  codec.Encode(page, buffer);
+  Status status = backend->Write(id, buffer);
+  if (!status.ok()) {
+    return Status(status.code(), "write of page " + std::to_string(id) +
+                                     " failed: " + status.message());
+  }
+  return Status::OK();
+}
+
 Status MemoryPageBackend::Read(PageId id, uint8_t* out) const {
   if (id >= slots_.size() || slots_[id] == nullptr) {
     return Status::InvalidArgument("page " + std::to_string(id) +

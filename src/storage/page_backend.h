@@ -13,14 +13,15 @@
 namespace stindex {
 
 // A raw store of fixed-size pages addressed by PageId. Backends know
-// nothing about node layouts — they move kPageSize byte blobs. The
-// BufferPool sits in front of one, encoding/decoding nodes through a
-// PageCodec and turning cache misses into actual backend reads.
+// nothing about node layouts — they move kPageSize byte blobs. Indexes
+// write their nodes through a PageCodec (EncodeAndWrite below); the
+// SharedBufferPool sits in front for reads, decoding pages and turning
+// cache misses into actual backend reads.
 //
 // Concurrency: concurrent Read calls are safe (the parallel query drivers
-// run one BufferPool per worker over a shared backend); Write/Free/Sync
-// require external exclusion and in this codebase happen only while an
-// index is being persisted, before any reader exists.
+// share one pool, whose shards read the backend concurrently);
+// Write/Free/Sync require external exclusion and in this codebase happen
+// only while an index is being persisted, before any reader exists.
 class PageBackend {
  public:
   virtual ~PageBackend() = default;
@@ -66,6 +67,11 @@ class PageBackend {
     return nullptr;
   }
 };
+
+// Encodes `page` with `codec` and writes it to slot `id`: one backend
+// Write per call. A failure comes back with its code and the slot named.
+Status EncodeAndWrite(const PageCodec& codec, const Page& page, PageId id,
+                      PageBackend* backend);
 
 // Heap-backed PageBackend: pages live in malloc'd buffers. The byte-exact
 // reference implementation the file backend is differentially tested

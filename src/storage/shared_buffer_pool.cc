@@ -40,17 +40,12 @@ SharedBufferPool::SharedBufferPool(PageBackend* backend, const PageCodec* codec,
   InitShards(options);
 }
 
-SharedBufferPool::~SharedBufferPool() {
-  const Status status = FlushAll();
-  STINDEX_CHECK_MSG(status.ok(), status.ToString().c_str());
-  PublishStats();
-}
+SharedBufferPool::~SharedBufferPool() { PublishStats(); }
 
 void SharedBufferPool::InitShards(const SharedBufferPoolOptions& options) {
   STINDEX_CHECK_MSG(options.capacity > 0,
                     "SharedBufferPool: capacity must be > 0");
   capacity_ = options.capacity;
-  pin_overflow_ = options.pin_overflow;
   metric_scope_ = options.metric_scope;
   size_t shards = options.shards;
   if (shards == 0) {
@@ -75,21 +70,8 @@ size_t SharedBufferPool::ShardOf(PageId id) const {
   return static_cast<size_t>(MixPageId(id) & (shards_.size() - 1));
 }
 
-Status SharedBufferPool::WriteBack(PageId id, Frame& frame, Shard& shard) {
-  uint8_t buffer[kPageSize];
-  codec_->Encode(*frame.page, buffer);
-  Status status = backend_->Write(id, buffer);
-  if (!status.ok()) {
-    return Status(status.code(), "write-back of page " + std::to_string(id) +
-                                     " failed: " + status.message());
-  }
-  frame.dirty = false;
-  --shard.dirty;
-  return Status::OK();
-}
-
-Status SharedBufferPool::MakeRoom(Shard& shard) {
-  while (shard.frames.size() >= shard.capacity) {
+void SharedBufferPool::EvictDownTo(Shard& shard, size_t limit) {
+  while (shard.frames.size() >= limit) {
     PageId victim = kInvalidPage;
     for (auto it = shard.lru.rbegin(); it != shard.lru.rend(); ++it) {
       if (shard.frames.at(*it).pins == 0) {
@@ -97,31 +79,17 @@ Status SharedBufferPool::MakeRoom(Shard& shard) {
         break;
       }
     }
-    if (victim == kInvalidPage) {
-      // Every frame in this shard is pinned right now.
-      if (pin_overflow_) return Status::OK();
-      return Status::FailedPrecondition(
-          "SharedBufferPool: every frame in the shard is pinned, cannot "
-          "evict (shard capacity " +
-          std::to_string(shard.capacity) + ", " +
-          std::to_string(shard.pinned) + " pinned)");
-    }
-    Frame& frame = shard.frames.at(victim);
+    // Every frame in this shard is pinned right now: overflow.
+    if (victim == kInvalidPage) return;
     TraceSpan span("storage", "shared_evict");
-    span.Arg("page", static_cast<int64_t>(victim))
-        .Arg("dirty", static_cast<int64_t>(frame.dirty ? 1 : 0));
-    if (frame.dirty) {
-      Status status = WriteBack(victim, frame, shard);
-      if (!status.ok()) return status;
-    }
-    shard.lru.erase(frame.lru);
+    span.Arg("page", static_cast<int64_t>(victim));
+    shard.lru.erase(shard.frames.at(victim).lru);
     shard.frames.erase(victim);
     ++shard.evictions;
   }
-  return Status::OK();
 }
 
-Result<const Page*> SharedBufferPool::Pin(PageId id, bool* missed) {
+const Page* SharedBufferPool::Pin(PageId id, bool* missed) {
   const bool live = store_ != nullptr ? store_->IsLive(id)
                                       : backend_->IsAllocated(id);
   if (!live) {
@@ -148,8 +116,7 @@ Result<const Page*> SharedBufferPool::Pin(PageId id, bool* missed) {
   ++shard.stats.misses;
   TraceSpan span("storage", "shared_miss");
   span.Arg("page", static_cast<int64_t>(id));
-  Status room = MakeRoom(shard);
-  if (!room.ok()) return room;
+  EvictDownTo(shard, shard.capacity);
   Frame frame;
   if (store_ != nullptr) {
     frame.page = store_->Get(id);
@@ -195,88 +162,7 @@ void SharedBufferPool::Unpin(PageId id) {
   STINDEX_CHECK_MSG(it != shard.frames.end(), "Unpin of a non-resident page");
   STINDEX_CHECK_MSG(it->second.pins > 0, "Unpin of an unpinned page");
   if (--it->second.pins == 0) --shard.pinned;
-  TrimOverflowLocked(shard);
-}
-
-void SharedBufferPool::TrimOverflowLocked(Shard& shard) {
-  while (shard.frames.size() > shard.capacity) {
-    PageId victim = kInvalidPage;
-    for (auto it = shard.lru.rbegin(); it != shard.lru.rend(); ++it) {
-      const Frame& frame = shard.frames.at(*it);
-      if (frame.pins == 0 && !frame.dirty) {
-        victim = *it;
-        break;
-      }
-    }
-    if (victim == kInvalidPage) return;
-    Frame& frame = shard.frames.at(victim);
-    shard.lru.erase(frame.lru);
-    shard.frames.erase(victim);
-    ++shard.evictions;
-  }
-}
-
-Status SharedBufferPool::Put(PageId id, std::unique_ptr<Page> page) {
-  STINDEX_CHECK_MSG(backend_ != nullptr,
-                    "SharedBufferPool::Put requires backend mode");
-  STINDEX_CHECK(page != nullptr);
-  STINDEX_CHECK(id != kInvalidPage);
-  Shard& shard = *shards_[ShardOf(id)];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.frames.find(id);
-  if (it != shard.frames.end()) {
-    Frame& frame = it->second;
-    if (frame.pins > 0) {
-      // A pinner may be reading the current decoded page; replacing it
-      // under them would dangle their pointer.
-      return Status::FailedPrecondition("SharedBufferPool::Put of page " +
-                                        std::to_string(id) +
-                                        " while it is pinned");
-    }
-    frame.owned = std::move(page);
-    frame.page = frame.owned.get();
-    if (!frame.dirty) {
-      frame.dirty = true;
-      ++shard.dirty;
-    }
-    shard.lru.splice(shard.lru.begin(), shard.lru, frame.lru);
-    frame.lru = shard.lru.begin();
-    return Status::OK();
-  }
-  Status room = MakeRoom(shard);
-  if (!room.ok()) return room;
-  Frame frame;
-  frame.owned = std::move(page);
-  frame.page = frame.owned.get();
-  frame.dirty = true;
-  ++shard.dirty;
-  auto [inserted, ok] = shard.frames.emplace(id, std::move(frame));
-  STINDEX_CHECK(ok);
-  shard.lru.push_front(id);
-  inserted->second.lru = shard.lru.begin();
-  return Status::OK();
-}
-
-Status SharedBufferPool::FlushAll() {
-  if (backend_ == nullptr) return Status::OK();
-  for (const std::unique_ptr<Shard>& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.dirty == 0) continue;
-    TraceSpan span("storage", "shared_flush");
-    span.Arg("dirty", static_cast<int64_t>(shard.dirty));
-    std::vector<PageId> dirty;
-    dirty.reserve(shard.dirty);
-    for (const auto& [id, frame] : shard.frames) {
-      if (frame.dirty) dirty.push_back(id);
-    }
-    std::sort(dirty.begin(), dirty.end());
-    for (const PageId id : dirty) {
-      Status status = WriteBack(id, shard.frames.at(id), shard);
-      if (!status.ok()) return status;
-    }
-  }
-  return Status::OK();
+  EvictDownTo(shard, shard.capacity + 1);
 }
 
 IoStats SharedBufferPool::AggregateStats() const {
@@ -316,15 +202,6 @@ size_t SharedBufferPool::PinnedPages() const {
   return total;
 }
 
-size_t SharedBufferPool::DirtyPages() const {
-  size_t total = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->dirty;
-  }
-  return total;
-}
-
 std::vector<SharedBufferPool::ShardOccupancy>
 SharedBufferPool::ShardOccupancies() const {
   std::vector<ShardOccupancy> out;
@@ -335,7 +212,6 @@ SharedBufferPool::ShardOccupancies() const {
     occupancy.capacity = shard->capacity;
     occupancy.cached = shard->frames.size();
     occupancy.pinned = shard->pinned;
-    occupancy.dirty = shard->dirty;
     out.push_back(occupancy);
   }
   return out;
@@ -380,10 +256,9 @@ PageRef SharedBufferPool::Session::FetchPinned(PageId id) {
       it->second = lru_.begin();
     } else {
       protocol_miss = true;
-      // Evict before inserting, like BufferPool: the cache never holds
-      // more than protocol_pages ids, and the victim is the exact LRU
-      // tail (queries pin one page at a time, so the private pools this
-      // accounting reproduces never skipped a pinned victim).
+      // Evict before inserting: the simulated cache never holds more than
+      // protocol_pages ids, and the victim is the exact LRU tail (queries
+      // pin one page at a time, so a pinned victim never needs skipping).
       if (lru_.size() >= protocol_pages_) {
         resident_.erase(lru_.back());
         lru_.pop_back();
@@ -393,17 +268,12 @@ PageRef SharedBufferPool::Session::FetchPinned(PageId id) {
     }
   }
   bool pool_miss = false;
-  Result<const Page*> page = pool_->Pin(id, &pool_miss);
-  if (!page.ok()) {
-    // The query path has no Status channel; undersizing the pool so far
-    // that a shard cannot hold the concurrent pins is a setup error.
-    STINDEX_CHECK_MSG(false, page.status().ToString().c_str());
-  }
+  const Page* page = pool_->Pin(id, &pool_miss);
   if (protocol_pages_ > 0 ? protocol_miss : pool_miss) {
     ++stats_.misses;
     ++lifetime_stats_.misses;
   }
-  return MakeRef(id, page.value());
+  return MakeRef(id, page);
 }
 
 void SharedBufferPool::Session::Unpin(PageId id) { pool_->Unpin(id); }

@@ -219,6 +219,9 @@ Result<std::unique_ptr<SnapshotFile>> SnapshotFile::Open(
   TraceSpan span("storage", "snapshot_open");
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
+    // An absent file is NotFound, so callers can tell "nothing persisted
+    // yet" from an I/O failure.
+    if (errno == ENOENT) return Status::NotFound(Errno("open(" + path + ")"));
     return Status::IoError(Errno("open(" + path + ")"));
   }
   std::unique_ptr<SnapshotFile> file(new SnapshotFile(path, fd));

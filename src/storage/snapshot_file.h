@@ -82,7 +82,7 @@ class SnapshotWriter {
 // STINDEX_SNAPSHOT_NO_MMAP environment variable, automatic if mmap
 // fails). Open() validates the superblock, the manifest digest and every
 // data page's checksum, so corruption fails at open time with a Status
-// naming the offending page id.
+// naming the offending page id. An absent file is NotFound.
 class SnapshotFile {
  public:
   struct Options {

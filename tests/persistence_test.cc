@@ -1,9 +1,21 @@
+// Persistence of a PPR-tree through the formats that remain: the
+// checkpoint page images a live tier journals (one sealed node page per
+// node plus the root-journal meta), and the page/snapshot files whose
+// absence must read as NotFound rather than as an I/O failure. Packed
+// snapshots and attached backends are covered in snapshot_backend_test
+// and backend_differential_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "pprtree/ppr_tree.h"
+#include "storage/file_backend.h"
+#include "storage/page_backend.h"
+#include "storage/snapshot_file.h"
+#include "util/bytes.h"
 #include "util/random.h"
 
 namespace stindex {
@@ -31,20 +43,38 @@ std::vector<SegmentRecord> RandomRecords(uint64_t seed, size_t count) {
   return records;
 }
 
-TEST(PprPersistenceTest, RoundTripAnswersIdentically) {
+// Round-trips `tree` through its checkpoint form: node pages written to
+// a page backend, then installed with the meta into a fresh tree.
+std::unique_ptr<PprTree> CheckpointRoundTrip(const PprTree& tree) {
+  MemoryPageBackend backend;
+  std::vector<PageId> slots(tree.NodeCount());
+  for (size_t i = 0; i < slots.size(); ++i) {
+    slots[i] = static_cast<PageId>(i);
+  }
+  EXPECT_TRUE(tree.PersistNodesForCheckpoint(&backend, slots).ok());
+  ByteSink meta;
+  tree.EncodeCheckpointMeta(&meta);
+
+  auto restored = std::make_unique<PprTree>();
+  ByteSource source(meta.bytes().data(), meta.size());
+  EXPECT_TRUE(restored->DecodeCheckpointMeta(&source).ok());
+  for (const PageId slot : slots) {
+    uint8_t page[kPageSize];
+    EXPECT_TRUE(backend.Read(slot, page).ok());
+    EXPECT_TRUE(restored->InstallCheckpointNode(slot, page).ok());
+  }
+  return restored;
+}
+
+TEST(PprPersistenceTest, CheckpointRoundTripAnswersIdentically) {
   const std::vector<SegmentRecord> records = RandomRecords(11, 600);
   std::unique_ptr<PprTree> original = BuildPprTree(records);
-  const std::string path = TempPath("tree.ppr");
-  ASSERT_TRUE(original->Save(path).ok());
-
-  Result<std::unique_ptr<PprTree>> loaded = PprTree::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  PprTree& restored = *loaded.value();
-  restored.CheckInvariants();
-  EXPECT_EQ(restored.Size(), original->Size());
-  EXPECT_EQ(restored.PageCount(), original->PageCount());
-  EXPECT_EQ(restored.NumRoots(), original->NumRoots());
-  EXPECT_EQ(restored.AliveCount(), original->AliveCount());
+  std::unique_ptr<PprTree> restored = CheckpointRoundTrip(*original);
+  restored->CheckInvariants();
+  EXPECT_EQ(restored->Size(), original->Size());
+  EXPECT_EQ(restored->PageCount(), original->PageCount());
+  EXPECT_EQ(restored->NumRoots(), original->NumRoots());
+  EXPECT_EQ(restored->AliveCount(), original->AliveCount());
 
   Rng rng(12);
   std::vector<PprDataId> a, b;
@@ -53,77 +83,61 @@ TEST(PprPersistenceTest, RoundTripAnswersIdentically) {
     const double y = rng.UniformDouble(0, 0.8);
     const Rect2D area(x, y, x + 0.15, y + 0.15);
     const Time t = rng.UniformInt(0, 199);
+    original->ResetQueryState();
+    restored->ResetQueryState();
     original->SnapshotQuery(area, t, &a);
-    restored.SnapshotQuery(area, t, &b);
+    restored->SnapshotQuery(area, t, &b);
     std::sort(a.begin(), a.end());
     std::sort(b.begin(), b.end());
     EXPECT_EQ(a, b);
+    // Same node ids, same traversal: the same protocol misses.
+    EXPECT_EQ(restored->stats().misses, original->stats().misses);
     const TimeInterval range(t, std::min<Time>(200, t + 15));
     original->IntervalQuery(area, range, &a);
-    restored.IntervalQuery(area, range, &b);
+    restored->IntervalQuery(area, range, &b);
     std::sort(a.begin(), a.end());
     std::sort(b.begin(), b.end());
     EXPECT_EQ(a, b);
   }
 }
 
-TEST(PprPersistenceTest, LoadedTreeAcceptsFurtherUpdates) {
+TEST(PprPersistenceTest, RestoredTreeAcceptsFurtherUpdates) {
   PprTree tree;
   for (PprDataId i = 0; i < 120; ++i) {
     tree.Insert(Rect2D(0.01 * static_cast<double>(i % 50), 0.1,
                        0.01 * static_cast<double>(i % 50) + 0.02, 0.15),
                 static_cast<Time>(i / 4), i);
   }
-  const std::string path = TempPath("live.ppr");
-  ASSERT_TRUE(tree.Save(path).ok());
-  Result<std::unique_ptr<PprTree>> loaded = PprTree::Load(path);
-  ASSERT_TRUE(loaded.ok());
-  PprTree& restored = *loaded.value();
+  std::unique_ptr<PprTree> restored = CheckpointRoundTrip(tree);
 
   // Continue the evolution where the original left off.
-  restored.Insert(Rect2D(0.5, 0.5, 0.55, 0.55), 100, 1000);
-  restored.Delete(0, 101);
-  restored.CheckInvariants();
+  restored->Insert(Rect2D(0.5, 0.5, 0.55, 0.55), 100, 1000);
+  restored->Delete(0, 101);
+  restored->CheckInvariants();
   std::vector<PprDataId> results;
-  restored.SnapshotQuery(Rect2D(0.45, 0.45, 0.6, 0.6), 150, &results);
+  restored->SnapshotQuery(Rect2D(0.45, 0.45, 0.6, 0.6), 150, &results);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0], 1000u);
 }
 
-TEST(PprPersistenceTest, RejectsGarbageFiles) {
-  const std::string path = TempPath("garbage.ppr");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "this is not a ppr tree";
-  }
-  Result<std::unique_ptr<PprTree>> loaded = PprTree::Load(path);
-  EXPECT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+TEST(PprPersistenceTest, MissingSnapshotIsNotFound) {
+  Result<std::unique_ptr<SnapshotFile>> file =
+      SnapshotFile::Open(TempPath("absent.stsnap"));
+  ASSERT_FALSE(file.ok());
+  EXPECT_EQ(file.status().code(), StatusCode::kNotFound)
+      << file.status().ToString();
+  Result<std::unique_ptr<MmapSnapshotBackend>> backend =
+      MmapSnapshotBackend::Open(TempPath("absent.stsnap"));
+  ASSERT_FALSE(backend.ok());
+  EXPECT_EQ(backend.status().code(), StatusCode::kNotFound);
 }
 
-TEST(PprPersistenceTest, RejectsTruncatedFiles) {
-  const std::vector<SegmentRecord> records = RandomRecords(13, 100);
-  std::unique_ptr<PprTree> tree = BuildPprTree(records);
-  const std::string full_path = TempPath("full.ppr");
-  ASSERT_TRUE(tree->Save(full_path).ok());
-  // Truncate to half.
-  std::ifstream in(full_path, std::ios::binary);
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  const std::string cut_path = TempPath("cut.ppr");
-  {
-    std::ofstream out(cut_path, std::ios::binary);
-    out.write(contents.data(),
-              static_cast<long>(contents.size() / 2));
-  }
-  EXPECT_FALSE(PprTree::Load(cut_path).ok());
-}
-
-TEST(PprPersistenceTest, MissingFileIsNotFound) {
-  Result<std::unique_ptr<PprTree>> loaded =
-      PprTree::Load(TempPath("absent.ppr"));
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
+TEST(PprPersistenceTest, MissingPageFileIsNotFound) {
+  Result<std::unique_ptr<FilePageBackend>> backend =
+      FilePageBackend::Open(TempPath("absent.stpages"));
+  ASSERT_FALSE(backend.ok());
+  EXPECT_EQ(backend.status().code(), StatusCode::kNotFound)
+      << backend.status().ToString();
 }
 
 }  // namespace

@@ -104,17 +104,17 @@ std::vector<QueryOutcome> RunPpr(const PprTree& tree,
                                  const std::vector<STQuery>& queries,
                                  int num_threads) {
   return RunAll(queries, num_threads, [&tree](const STQuery& query) {
-    std::unique_ptr<BufferPool> buffer = tree.NewQueryBuffer();
+    const std::unique_ptr<SharedBufferPool> pool = tree.NewSharedQueryPool();
+    SharedBufferPool::Session session(pool.get(), pool->capacity());
     std::vector<PprDataId> results;
     if (query.IsSnapshot()) {
-      tree.SnapshotQuery(query.area, query.range.start, buffer.get(),
-                         &results);
+      tree.SnapshotQuery(query.area, query.range.start, &session, &results);
     } else {
-      tree.IntervalQuery(query.area, query.range, buffer.get(), &results);
+      tree.IntervalQuery(query.area, query.range, &session, &results);
     }
     QueryOutcome outcome;
     outcome.results.assign(results.begin(), results.end());
-    outcome.misses = buffer->stats().misses;
+    outcome.misses = session.stats().misses;
     return outcome;
   });
 }
@@ -123,12 +123,13 @@ std::vector<QueryOutcome> RunRStar(const RStarTree& tree,
                                    const std::vector<STQuery>& queries,
                                    int num_threads) {
   return RunAll(queries, num_threads, [&tree](const STQuery& query) {
-    std::unique_ptr<BufferPool> buffer = tree.NewQueryBuffer();
+    const std::unique_ptr<SharedBufferPool> pool = tree.NewSharedQueryPool();
+    SharedBufferPool::Session session(pool.get(), pool->capacity());
     std::vector<DataId> results;
-    tree.Search(QueryToBox(query, 0, kTimeDomain), buffer.get(), &results);
+    tree.Search(QueryToBox(query, 0, kTimeDomain), &session, &results);
     QueryOutcome outcome;
     outcome.results.assign(results.begin(), results.end());
-    outcome.misses = buffer->stats().misses;
+    outcome.misses = session.stats().misses;
     return outcome;
   });
 }

@@ -5,17 +5,23 @@
 // without touching the filesystem.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "pprtree/ppr_tree.h"
+#include "rstar/rstar_tree.h"
 #include "storage/buffer_pool.h"
 #include "storage/fault_backend.h"
 #include "storage/file_backend.h"
 #include "storage/page_backend.h"
 #include "storage/page_codec.h"
+#include "storage/shared_buffer_pool.h"
+#include "util/random.h"
 
 namespace stindex {
 namespace {
@@ -123,7 +129,7 @@ TEST(FaultBackendTest, FailedWriteSurfacesStatusWithPageId) {
 
 TEST(FaultBackendTest, BitFlipIsSilentAtBackendLevel) {
   // The corrupting fault reports success — only the checksum layer can
-  // catch it, which the BufferPool death test below proves it does.
+  // catch it, which the page-cache death test below proves it does.
   FaultInjectingBackend::Faults faults;
   faults.corrupt_read_at = 1;
   faults.corrupt_bit = (kPageEnvelopeBytes + 3) * 8 + 5;  // payload byte
@@ -137,22 +143,40 @@ TEST(FaultBackendTest, BitFlipIsSilentAtBackendLevel) {
   EXPECT_TRUE(OpenPagePayload(clean, PageKind::kTest, 0).ok());
 }
 
+// A one-shard page cache over `backend`, read through a Session: the
+// query path every index uses.
+class FaultyCache {
+ public:
+  explicit FaultyCache(PageBackend* backend) {
+    SharedBufferPoolOptions options;
+    options.capacity = 4;
+    options.shards = 1;
+    pool_ = std::make_unique<SharedBufferPool>(backend, &codec_, options);
+    session_ = std::make_unique<SharedBufferPool::Session>(pool_.get());
+  }
+
+  PageRef Fetch(PageId id) { return session_->FetchPinned(id); }
+
+ private:
+  TestCodec codec_;
+  std::unique_ptr<SharedBufferPool> pool_;
+  std::unique_ptr<SharedBufferPool::Session> session_;
+};
+
 TEST(FaultPoolDeathTest, FetchDiesOnInjectedReadFailureNamingPage) {
   FaultInjectingBackend::Faults faults;
   faults.fail_read_at = 1;
   std::unique_ptr<FaultInjectingBackend> backend = MakeFaulty(faults);
-  TestCodec codec;
-  BufferPool pool(backend.get(), &codec, 4);
-  EXPECT_DEATH(pool.Fetch(2), "read of page 2 failed.*injected read failure");
+  FaultyCache cache(backend.get());
+  EXPECT_DEATH(cache.Fetch(2), "read of page 2 failed.*injected read failure");
 }
 
 TEST(FaultPoolDeathTest, FetchDiesOnShortReadNamingPage) {
   FaultInjectingBackend::Faults faults;
   faults.short_read_at = 1;
   std::unique_ptr<FaultInjectingBackend> backend = MakeFaulty(faults);
-  TestCodec codec;
-  BufferPool pool(backend.get(), &codec, 4);
-  EXPECT_DEATH(pool.Fetch(1), "read of page 1 failed.*short read");
+  FaultyCache cache(backend.get());
+  EXPECT_DEATH(cache.Fetch(1), "read of page 1 failed.*short read");
 }
 
 TEST(FaultPoolDeathTest, FetchDiesOnBitFlipViaChecksum) {
@@ -162,51 +186,148 @@ TEST(FaultPoolDeathTest, FetchDiesOnBitFlipViaChecksum) {
   faults.corrupt_read_at = 1;
   faults.corrupt_bit = (kPageEnvelopeBytes + 1) * 8;
   std::unique_ptr<FaultInjectingBackend> backend = MakeFaulty(faults);
-  TestCodec codec;
-  BufferPool pool(backend.get(), &codec, 4);
-  EXPECT_DEATH(pool.Fetch(0), "decode of page 0 failed.*checksum mismatch");
+  FaultyCache cache(backend.get());
+  EXPECT_DEATH(cache.Fetch(0), "decode of page 0 failed.*checksum mismatch");
 }
 
-TEST(FaultPoolTest, EvictionWriteFailureSurfacesInPut) {
+// --- Write faults while an index persists its nodes ---------------------
+
+// A small PPR-tree with a few dozen nodes.
+std::unique_ptr<PprTree> SmallPprTree() {
+  Rng rng(5);
+  std::vector<SegmentRecord> records;
+  for (size_t i = 0; i < 400; ++i) {
+    SegmentRecord record;
+    record.object = static_cast<ObjectId>(i);
+    const Time start = rng.UniformInt(0, 150);
+    const double x = rng.UniformDouble(0, 0.95);
+    const double y = rng.UniformDouble(0, 0.95);
+    record.box.rect = Rect2D(x, y, x + 0.03, y + 0.03);
+    record.box.interval = TimeInterval(start, start + rng.UniformInt(1, 40));
+    records.push_back(record);
+  }
+  return BuildPprTree(records);
+}
+
+std::vector<PprDataId> Snapshot(const PprTree& tree, Time t) {
+  std::vector<PprDataId> out;
+  tree.SnapshotQuery(Rect2D(0.2, 0.2, 0.7, 0.7), t, &out);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+bool SamePage(const PageBackend& a, const PageBackend& b, PageId id) {
+  uint8_t left[kPageSize];
+  uint8_t right[kPageSize];
+  return a.Read(id, left).ok() && b.Read(id, right).ok() &&
+         std::memcmp(left, right, kPageSize) == 0;
+}
+
+TEST(FaultPersistTest, AttachBackendWriteFailureNamesPageAndKeepsTree) {
+  std::unique_ptr<PprTree> tree = SmallPprTree();
+  ASSERT_GT(tree->PageCount(), 5u);
+  const std::vector<PprDataId> before = Snapshot(*tree, 80);
   FaultInjectingBackend::Faults faults;
-  faults.fail_write_at = 1;
-  auto backend = std::make_unique<FaultInjectingBackend>(
-      std::make_unique<MemoryPageBackend>(), faults);
-  TestCodec codec;
-  BufferPool pool(backend.get(), &codec, /*capacity=*/1);
-  ASSERT_TRUE(pool.Put(0, std::make_unique<TestPage>(10)).ok());
-  // Inserting page 1 evicts dirty page 0, whose write-back fails.
-  const Status status = pool.Put(1, std::make_unique<TestPage>(11));
+  faults.fail_write_at = 3;  // nodes are written in id order: page 2
+  const Status status =
+      tree->AttachBackend(std::make_unique<FaultInjectingBackend>(
+          std::make_unique<MemoryPageBackend>(), faults));
   EXPECT_EQ(status.code(), StatusCode::kIoError);
-  EXPECT_TRUE(Contains(status.message(), "write-back of page 0"))
+  EXPECT_TRUE(Contains(status.message(), "write of page 2"))
       << status.ToString();
   EXPECT_TRUE(Contains(status.message(), "injected write failure"));
-  // The victim stayed resident and dirty; the fault disarmed, so the
-  // flush-on-destruction retry persists it.
-  EXPECT_EQ(pool.DirtyPages(), 1u);
+  // No abort, and the tree is still whole in memory: not attached, same
+  // answers, and a second attach succeeds.
+  EXPECT_EQ(tree->backend(), nullptr);
+  EXPECT_EQ(Snapshot(*tree, 80), before);
+  ASSERT_TRUE(tree->AttachBackend(std::make_unique<MemoryPageBackend>()).ok());
+  EXPECT_EQ(Snapshot(*tree, 80), before);
 }
 
-TEST(FaultPoolTest, FlushAllWriteFailureSurfacesStatusAndRetries) {
+TEST(FaultPersistTest, RStarAttachBackendWriteFailureNamesPage) {
+  RStarTree tree;
+  Rng rng(9);
+  for (DataId i = 0; i < 600; ++i) {
+    const double x = rng.UniformDouble(0, 0.9);
+    const double y = rng.UniformDouble(0, 0.9);
+    const double t = rng.UniformDouble(0, 0.9);
+    tree.Insert(Box3D(x, y, t, x + 0.05, y + 0.05, t + 0.05), i);
+  }
+  ASSERT_GT(tree.PageCount(), 4u);
   FaultInjectingBackend::Faults faults;
-  faults.fail_write_at = 1;
-  auto backend = std::make_unique<FaultInjectingBackend>(
-      std::make_unique<MemoryPageBackend>(), faults);
-  TestCodec codec;
-  BufferPool pool(backend.get(), &codec, 4);
-  ASSERT_TRUE(pool.Put(5, std::make_unique<TestPage>(55)).ok());
-  const Status status = pool.FlushAll();
+  faults.fail_write_at = 4;
+  const Status status =
+      tree.AttachBackend(std::make_unique<FaultInjectingBackend>(
+          std::make_unique<MemoryPageBackend>(), faults));
   EXPECT_EQ(status.code(), StatusCode::kIoError);
-  EXPECT_TRUE(Contains(status.message(), "write-back of page 5"))
+  EXPECT_TRUE(Contains(status.message(), "write of page 3"))
       << status.ToString();
-  EXPECT_EQ(pool.DirtyPages(), 1u);  // still dirty after the failure
-  // The fault disarmed: the retry succeeds and the data is intact.
-  ASSERT_TRUE(pool.FlushAll().ok());
-  EXPECT_EQ(pool.DirtyPages(), 0u);
-  uint8_t buffer[kPageSize];
-  ASSERT_TRUE(backend->Read(5, buffer).ok());
-  Result<std::unique_ptr<Page>> decoded = codec.Decode(buffer, 5);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(static_cast<const TestPage*>(decoded.value().get())->value(), 55u);
+  EXPECT_EQ(tree.backend(), nullptr);
+  tree.CheckInvariants();
+}
+
+TEST(FaultPersistTest, CheckpointWriteFailureNamesSlotAndRetrySucceeds) {
+  std::unique_ptr<PprTree> tree = SmallPprTree();
+  std::vector<PageId> slots(tree->NodeCount());
+  for (size_t i = 0; i < slots.size(); ++i) {
+    slots[i] = static_cast<PageId>(100 + i);
+  }
+  FaultInjectingBackend::Faults faults;
+  faults.fail_write_at = 2;
+  FaultInjectingBackend backend(std::make_unique<MemoryPageBackend>(), faults);
+  const Status status = tree->PersistNodesForCheckpoint(&backend, slots);
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_TRUE(Contains(status.message(), "write of page 101"))
+      << status.ToString();
+  EXPECT_TRUE(Contains(status.message(), "injected write failure"));
+  EXPECT_TRUE(backend.IsAllocated(100));
+  EXPECT_FALSE(backend.IsAllocated(101));
+
+  // The fault disarmed: the retry writes every slot, each byte-identical
+  // to a fault-free run.
+  ASSERT_TRUE(tree->PersistNodesForCheckpoint(&backend, slots).ok());
+  EXPECT_EQ(backend.writes(), 2 + slots.size());
+  MemoryPageBackend reference;
+  ASSERT_TRUE(tree->PersistNodesForCheckpoint(&reference, slots).ok());
+  for (const PageId slot : slots) {
+    EXPECT_TRUE(SamePage(backend, reference, slot)) << "page " << slot;
+  }
+}
+
+TEST(FaultPersistTest, CheckpointWriteFaultLeavesOtherPagesIntact) {
+  std::unique_ptr<PprTree> tree = SmallPprTree();
+  const size_t nodes = tree->NodeCount();
+  // The previous checkpoint's pages occupy slots [0, nodes); the new one
+  // shadow-writes into [nodes, 2 * nodes).
+  std::vector<PageId> old_slots(nodes);
+  std::vector<PageId> new_slots(nodes);
+  for (size_t i = 0; i < nodes; ++i) {
+    old_slots[i] = static_cast<PageId>(i);
+    new_slots[i] = static_cast<PageId>(nodes + i);
+  }
+  MemoryPageBackend reference;
+  ASSERT_TRUE(tree->PersistNodesForCheckpoint(&reference, old_slots).ok());
+  ASSERT_TRUE(tree->PersistNodesForCheckpoint(&reference, new_slots).ok());
+
+  FaultInjectingBackend::Faults faults;
+  faults.fail_write_at = nodes + 3;  // the third shadow write
+  FaultInjectingBackend backend(std::make_unique<MemoryPageBackend>(), faults);
+  ASSERT_TRUE(tree->PersistNodesForCheckpoint(&backend, old_slots).ok());
+  const Status status = tree->PersistNodesForCheckpoint(&backend, new_slots);
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_TRUE(Contains(status.message(),
+                       "write of page " + std::to_string(new_slots[2])))
+      << status.ToString();
+  // Every old page, and every shadow page written before the fault, is
+  // byte-identical to the fault-free run; nothing after it was written.
+  for (const PageId id : old_slots) {
+    EXPECT_TRUE(SamePage(backend, reference, id)) << "page " << id;
+  }
+  EXPECT_TRUE(SamePage(backend, reference, new_slots[0]));
+  EXPECT_TRUE(SamePage(backend, reference, new_slots[1]));
+  for (size_t i = 2; i < nodes; ++i) {
+    EXPECT_FALSE(backend.IsAllocated(new_slots[i])) << "slot " << i;
+  }
 }
 
 TEST(FaultBackendTest, CrashTriggerFiresAtNthMutationAndLatches) {
@@ -291,30 +412,6 @@ TEST(FaultBackendTest, AbandonedFileKeepsOnlySyncedState) {
   EXPECT_EQ(static_cast<const TestPage*>(decoded.value().get())->value(), 1u);
 
   std::remove(path.c_str());
-}
-
-TEST(FaultPoolTest, WriteFaultDoesNotCorruptOtherPages) {
-  FaultInjectingBackend::Faults faults;
-  faults.fail_write_at = 2;
-  auto backend = std::make_unique<FaultInjectingBackend>(
-      std::make_unique<MemoryPageBackend>(), faults);
-  TestCodec codec;
-  {
-    BufferPool pool(backend.get(), &codec, 8);
-    for (PageId id = 0; id < 4; ++id) {
-      ASSERT_TRUE(pool.Put(id, std::make_unique<TestPage>(100 + id)).ok());
-    }
-    EXPECT_FALSE(pool.FlushAll().ok());  // page 1's write fails
-    ASSERT_TRUE(pool.FlushAll().ok());   // retry after disarm
-  }
-  for (PageId id = 0; id < 4; ++id) {
-    uint8_t buffer[kPageSize];
-    ASSERT_TRUE(backend->Read(id, buffer).ok());
-    Result<std::unique_ptr<Page>> decoded = codec.Decode(buffer, id);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_EQ(static_cast<const TestPage*>(decoded.value().get())->value(),
-              100u + id);
-  }
 }
 
 }  // namespace

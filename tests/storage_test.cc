@@ -9,6 +9,7 @@
 #include "storage/page_backend.h"
 #include "storage/page_codec.h"
 #include "storage/page_store.h"
+#include "storage/shared_buffer_pool.h"
 
 namespace stindex {
 namespace {
@@ -23,7 +24,7 @@ class TestPage : public Page {
   int tag_;
 };
 
-// Serializes TestPage for the backend-mode BufferPool tests below.
+// Serializes TestPage for the backend-mode page-cache tests below.
 class TestCodec : public PageCodec {
  public:
   void Encode(const Page& page, uint8_t* out) const override {
@@ -122,213 +123,260 @@ TEST(PageStoreTest, AllocatedCountStaysFlatUnderChurn) {
   EXPECT_EQ(store.TotalAllocations(), 58u);
 }
 
-TEST(BufferPoolTest, ReusedSlotIsNeverServedStale) {
+// The page cache is one SharedBufferPool; with a single shard it is one
+// exact LRU over the whole capacity. Pass-through Sessions report the
+// pool's own hit/miss outcome for every access.
+std::unique_ptr<SharedBufferPool> OneShardPool(const PageStore* store,
+                                               size_t capacity) {
+  SharedBufferPoolOptions options;
+  options.capacity = capacity;
+  options.shards = 1;
+  return std::make_unique<SharedBufferPool>(store, options);
+}
+
+int TagOf(const PageRef& ref) {
+  return static_cast<const TestPage*>(ref.get())->tag();
+}
+
+TEST(PageCacheTest, ReusedSlotIsNeverServedStale) {
   // A page cached in the pool, freed in the store, and replaced by a new
   // allocation under the same id must be served as the NEW page.
   PageStore store;
   const PageId a = store.Allocate(std::make_unique<TestPage>(1));
-  BufferPool pool(&store, 4);
-  EXPECT_EQ(static_cast<const TestPage*>(pool.Fetch(a))->tag(), 1);
+  auto pool = OneShardPool(&store, 4);
+  SharedBufferPool::Session session(pool.get());
+  EXPECT_EQ(TagOf(session.FetchPinned(a)), 1);
   store.Free(a);
   const PageId b = store.Allocate(std::make_unique<TestPage>(2));
   ASSERT_EQ(a, b);  // the slot was reused
-  EXPECT_EQ(static_cast<const TestPage*>(pool.Fetch(a))->tag(), 2);
+  EXPECT_EQ(TagOf(session.FetchPinned(a)), 2);
+  EXPECT_EQ(session.stats().misses, 1u);  // served from the resident frame
 }
 
-TEST(BufferPoolDeathTest, FetchOfFreedPageAborts) {
+TEST(PageCacheDeathTest, FetchOfFreedPageAborts) {
   PageStore store;
   const PageId a = store.Allocate(std::make_unique<TestPage>(1));
-  BufferPool pool(&store, 4);
+  auto pool = OneShardPool(&store, 4);
+  SharedBufferPool::Session session(pool.get());
   store.Free(a);
-  EXPECT_DEATH(pool.Fetch(a), "freed or out-of-range");
+  EXPECT_DEATH(session.FetchPinned(a), "freed or out-of-range");
 }
 
-TEST(BufferPoolDeathTest, FetchOfOutOfRangePageAborts) {
+TEST(PageCacheDeathTest, FetchOfOutOfRangePageAborts) {
   PageStore store;
   store.Allocate(std::make_unique<TestPage>(1));
-  BufferPool pool(&store, 4);
-  EXPECT_DEATH(pool.Fetch(static_cast<PageId>(999)), "freed or out-of-range");
-  EXPECT_DEATH(pool.Fetch(kInvalidPage), "freed or out-of-range");
+  auto pool = OneShardPool(&store, 4);
+  SharedBufferPool::Session session(pool.get());
+  EXPECT_DEATH(session.FetchPinned(static_cast<PageId>(999)),
+               "freed or out-of-range");
+  EXPECT_DEATH(session.FetchPinned(kInvalidPage), "freed or out-of-range");
 }
 
-TEST(BufferPoolDeathTest, StaleCacheEntryForFreedPageAborts) {
+TEST(PageCacheDeathTest, StaleCacheEntryForFreedPageAborts) {
   // Even a page already resident in the LRU cache must not be served
   // once the store has freed it.
   PageStore store;
   const PageId a = store.Allocate(std::make_unique<TestPage>(1));
-  BufferPool pool(&store, 4);
-  pool.Fetch(a);  // now cached
+  auto pool = OneShardPool(&store, 4);
+  SharedBufferPool::Session session(pool.get());
+  session.FetchPinned(a);  // now cached
   store.Free(a);
-  EXPECT_DEATH(pool.Fetch(a), "freed or out-of-range");
+  EXPECT_DEATH(session.FetchPinned(a), "freed or out-of-range");
 }
 
-TEST(BufferPoolTest, FirstAccessIsMiss) {
+TEST(PageCacheTest, FirstAccessIsMiss) {
   PageStore store;
   const PageId a = store.Allocate(std::make_unique<TestPage>(1));
-  BufferPool pool(&store, 4);
-  pool.Fetch(a);
-  EXPECT_EQ(pool.stats().accesses, 1u);
-  EXPECT_EQ(pool.stats().misses, 1u);
-  pool.Fetch(a);
-  EXPECT_EQ(pool.stats().accesses, 2u);
-  EXPECT_EQ(pool.stats().misses, 1u);
-  EXPECT_EQ(pool.stats().Hits(), 1u);
+  auto pool = OneShardPool(&store, 4);
+  SharedBufferPool::Session session(pool.get());
+  session.FetchPinned(a);
+  EXPECT_EQ(session.stats().accesses, 1u);
+  EXPECT_EQ(session.stats().misses, 1u);
+  session.FetchPinned(a);
+  EXPECT_EQ(session.stats().accesses, 2u);
+  EXPECT_EQ(session.stats().misses, 1u);
+  EXPECT_EQ(session.stats().Hits(), 1u);
 }
 
-TEST(BufferPoolTest, EvictsLeastRecentlyUsed) {
+TEST(PageCacheTest, EvictsLeastRecentlyUsed) {
   PageStore store;
   PageId pages[3];
   for (int i = 0; i < 3; ++i) {
     pages[i] = store.Allocate(std::make_unique<TestPage>(i));
   }
-  BufferPool pool(&store, 2);
-  pool.Fetch(pages[0]);  // miss, cache {0}
-  pool.Fetch(pages[1]);  // miss, cache {1, 0}
-  pool.Fetch(pages[0]);  // hit, cache {0, 1}
-  pool.Fetch(pages[2]);  // miss, evicts 1, cache {2, 0}
-  pool.Fetch(pages[0]);  // hit
-  pool.Fetch(pages[1]);  // miss again (was evicted)
-  EXPECT_EQ(pool.stats().misses, 4u);
-  EXPECT_EQ(pool.stats().accesses, 6u);
+  auto pool = OneShardPool(&store, 2);
+  SharedBufferPool::Session session(pool.get());
+  session.FetchPinned(pages[0]);  // miss, cache {0}
+  session.FetchPinned(pages[1]);  // miss, cache {1, 0}
+  session.FetchPinned(pages[0]);  // hit, cache {0, 1}
+  session.FetchPinned(pages[2]);  // miss, evicts 1, cache {2, 0}
+  session.FetchPinned(pages[0]);  // hit
+  session.FetchPinned(pages[1]);  // miss again (was evicted)
+  EXPECT_EQ(session.stats().misses, 4u);
+  EXPECT_EQ(session.stats().accesses, 6u);
 }
 
-TEST(BufferPoolTest, ResetCacheForcesMisses) {
+TEST(PageCacheTest, ProtocolResetCacheForcesMisses) {
+  // The paper's protocol resets the 10-page LRU before each query; a
+  // protocol Session simulates that LRU, so ResetCache makes the next
+  // access a miss even though the page is still resident in the pool.
   PageStore store;
   const PageId a = store.Allocate(std::make_unique<TestPage>(1));
-  BufferPool pool(&store, 4);
-  pool.Fetch(a);
-  pool.ResetCache();
-  pool.Fetch(a);
-  EXPECT_EQ(pool.stats().misses, 2u);
+  auto pool = OneShardPool(&store, 4);
+  SharedBufferPool::Session session(pool.get(), /*protocol_pages=*/4);
+  session.FetchPinned(a);
+  session.ResetCache();
+  session.FetchPinned(a);
+  EXPECT_EQ(session.stats().misses, 2u);
+  EXPECT_EQ(pool->AggregateStats().misses, 1u);  // one real load
 }
 
-TEST(BufferPoolTest, ResetStatsKeepsCache) {
+TEST(PageCacheTest, ResetStatsKeepsCache) {
   PageStore store;
   const PageId a = store.Allocate(std::make_unique<TestPage>(1));
-  BufferPool pool(&store, 4);
-  pool.Fetch(a);
-  pool.ResetStats();
-  pool.Fetch(a);  // still cached: a hit
-  EXPECT_EQ(pool.stats().accesses, 1u);
-  EXPECT_EQ(pool.stats().misses, 0u);
+  auto pool = OneShardPool(&store, 4);
+  SharedBufferPool::Session session(pool.get());
+  session.FetchPinned(a);
+  session.ResetStats();
+  session.FetchPinned(a);  // still cached: a hit
+  EXPECT_EQ(session.stats().accesses, 1u);
+  EXPECT_EQ(session.stats().misses, 0u);
 }
 
-TEST(BufferPoolTest, LifetimeStatsSurviveResetStats) {
+TEST(PageCacheTest, LifetimeStatsSurviveResetStats) {
   PageStore store;
   const PageId a = store.Allocate(std::make_unique<TestPage>(1));
-  BufferPool pool(&store, 4);
-  pool.Fetch(a);
-  pool.ResetStats();
-  pool.Fetch(a);
-  EXPECT_EQ(pool.stats().accesses, 1u);
-  EXPECT_EQ(pool.lifetime_stats().accesses, 2u);
-  EXPECT_EQ(pool.lifetime_stats().misses, 1u);
+  auto pool = OneShardPool(&store, 4);
+  SharedBufferPool::Session session(pool.get());
+  session.FetchPinned(a);
+  session.ResetStats();
+  session.FetchPinned(a);
+  EXPECT_EQ(session.stats().accesses, 1u);
+  EXPECT_EQ(session.lifetime_stats().accesses, 2u);
+  EXPECT_EQ(session.lifetime_stats().misses, 1u);
 }
 
-TEST(BufferPoolTest, CapacityOneThrashes) {
+TEST(PageCacheTest, CapacityOneThrashes) {
   PageStore store;
   PageId pages[2];
   for (int i = 0; i < 2; ++i) {
     pages[i] = store.Allocate(std::make_unique<TestPage>(i));
   }
-  BufferPool pool(&store, 1);
+  auto pool = OneShardPool(&store, 1);
+  SharedBufferPool::Session session(pool.get());
   for (int round = 0; round < 5; ++round) {
-    pool.Fetch(pages[0]);
-    pool.Fetch(pages[1]);
+    session.FetchPinned(pages[0]);
+    session.FetchPinned(pages[1]);
   }
-  EXPECT_EQ(pool.stats().misses, 10u);
+  EXPECT_EQ(session.stats().misses, 10u);
 }
 
-TEST(BufferPoolTest, LargeCapacityHoldsWorkingSet) {
+TEST(PageCacheTest, LargeCapacityHoldsWorkingSet) {
   PageStore store;
   std::vector<PageId> pages;
   for (int i = 0; i < 8; ++i) {
     pages.push_back(store.Allocate(std::make_unique<TestPage>(i)));
   }
-  BufferPool pool(&store, 10);
+  auto pool = OneShardPool(&store, 10);
+  SharedBufferPool::Session session(pool.get());
   for (int round = 0; round < 3; ++round) {
-    for (PageId id : pages) pool.Fetch(id);
+    for (PageId id : pages) session.FetchPinned(id);
   }
-  EXPECT_EQ(pool.stats().misses, 8u);  // only cold misses
-  EXPECT_EQ(pool.CachedPages(), 8u);
+  EXPECT_EQ(session.stats().misses, 8u);  // only cold misses
+  EXPECT_EQ(pool->CachedPages(), 8u);
 }
 
-TEST(BufferPoolTest, EvictionCounter) {
+TEST(PageCacheTest, EvictionCounter) {
   PageStore store;
   PageId pages[3];
   for (int i = 0; i < 3; ++i) {
     pages[i] = store.Allocate(std::make_unique<TestPage>(i));
   }
-  BufferPool pool(&store, 2);
-  pool.Fetch(pages[0]);
-  pool.Fetch(pages[1]);
-  EXPECT_EQ(pool.Evictions(), 0u);
-  pool.Fetch(pages[2]);  // evicts pages[0]
-  EXPECT_EQ(pool.Evictions(), 1u);
-  pool.ResetCache();     // dropping frames is not an eviction
-  EXPECT_EQ(pool.Evictions(), 1u);
+  auto pool = OneShardPool(&store, 2);
+  SharedBufferPool::Session session(pool.get(), /*protocol_pages=*/2);
+  session.FetchPinned(pages[0]);
+  session.FetchPinned(pages[1]);
+  EXPECT_EQ(pool->Evictions(), 0u);
+  session.FetchPinned(pages[2]);  // evicts pages[0]
+  EXPECT_EQ(pool->Evictions(), 1u);
+  session.ResetCache();  // restarting the protocol LRU evicts nothing
+  EXPECT_EQ(pool->Evictions(), 1u);
 }
 
-TEST(BufferPoolTest, PinBlocksEviction) {
+TEST(PageCacheTest, PinBlocksEviction) {
   PageStore store;
   PageId pages[3];
   for (int i = 0; i < 3; ++i) {
     pages[i] = store.Allocate(std::make_unique<TestPage>(i));
   }
-  BufferPool pool(&store, 2);
-  PageRef pinned = pool.FetchPinned(pages[0]);  // LRU position after...
-  pool.Fetch(pages[1]);                         // ...this access
-  EXPECT_EQ(pool.PinnedPages(), 1u);
+  auto pool = OneShardPool(&store, 2);
+  SharedBufferPool::Session session(pool.get());
+  PageRef pinned = session.FetchPinned(pages[0]);  // LRU position after...
+  session.FetchPinned(pages[1]);                   // ...this access
+  EXPECT_EQ(pool->PinnedPages(), 1u);
   // Eviction must skip the pinned LRU frame and take pages[1] instead.
-  pool.Fetch(pages[2]);
-  pool.Fetch(pages[0]);  // hit: still resident
-  EXPECT_EQ(pool.stats().misses, 3u);
-  EXPECT_EQ(pool.stats().accesses, 4u);
+  session.FetchPinned(pages[2]);
+  session.FetchPinned(pages[0]);  // hit: still resident
+  EXPECT_EQ(session.stats().misses, 3u);
+  EXPECT_EQ(session.stats().accesses, 4u);
   pinned.Release();
-  EXPECT_EQ(pool.PinnedPages(), 0u);
+  EXPECT_EQ(pool->PinnedPages(), 0u);
   // pages[0] became MRU with the hit above, so the next miss evicts
   // pages[2]; the formerly pinned frame stays resident on merit.
-  pool.Fetch(pages[1]);  // miss, evicts pages[2]
-  pool.Fetch(pages[0]);  // hit
-  EXPECT_EQ(pool.stats().misses, 4u);
+  session.FetchPinned(pages[1]);  // miss, evicts pages[2]
+  session.FetchPinned(pages[0]);  // hit
+  EXPECT_EQ(session.stats().misses, 4u);
 }
 
-TEST(BufferPoolDeathTest, AllPinnedCannotEvict) {
+TEST(PageCacheTest, AllPinnedOverflowsThenTrimsBack) {
+  // Every frame pinned: the next miss grows the pool past its capacity
+  // instead of failing, and releasing the pins trims it back.
   PageStore store;
   PageId pages[3];
   for (int i = 0; i < 3; ++i) {
     pages[i] = store.Allocate(std::make_unique<TestPage>(i));
   }
-  BufferPool pool(&store, 2);
-  PageRef a = pool.FetchPinned(pages[0]);
-  PageRef b = pool.FetchPinned(pages[1]);
-  EXPECT_DEATH(pool.Fetch(pages[2]), "every frame is pinned");
+  auto pool = OneShardPool(&store, 2);
+  SharedBufferPool::Session session(pool.get());
+  PageRef a = session.FetchPinned(pages[0]);
+  PageRef b = session.FetchPinned(pages[1]);
+  PageRef c = session.FetchPinned(pages[2]);
+  EXPECT_EQ(TagOf(c), 2);
+  EXPECT_EQ(pool->CachedPages(), 3u);
+  a.Release();
+  EXPECT_EQ(pool->CachedPages(), 2u);
+  b.Release();
+  c.Release();
+  EXPECT_EQ(pool->CachedPages(), 2u);
+  EXPECT_EQ(pool->PinnedPages(), 0u);
 }
 
-TEST(BufferPoolTest, PageRefMoveTransfersPin) {
+TEST(PageCacheTest, PageRefMoveTransfersPin) {
   PageStore store;
   const PageId a = store.Allocate(std::make_unique<TestPage>(1));
-  BufferPool pool(&store, 2);
-  PageRef ref = pool.FetchPinned(a);
-  EXPECT_EQ(pool.PinnedPages(), 1u);
+  auto pool = OneShardPool(&store, 2);
+  SharedBufferPool::Session session(pool.get());
+  PageRef ref = session.FetchPinned(a);
+  EXPECT_EQ(pool->PinnedPages(), 1u);
   PageRef moved = std::move(ref);
-  EXPECT_EQ(pool.PinnedPages(), 1u);  // exactly one pin, now owned by `moved`
+  EXPECT_EQ(pool->PinnedPages(), 1u);  // exactly one pin, now in `moved`
   EXPECT_TRUE(static_cast<bool>(moved));
   EXPECT_FALSE(static_cast<bool>(ref));  // NOLINT(bugprone-use-after-move)
   moved.Release();
-  EXPECT_EQ(pool.PinnedPages(), 0u);
+  EXPECT_EQ(pool->PinnedPages(), 0u);
 }
 
-TEST(BufferPoolTest, PageRefMoveResetsSourceCompletely) {
+TEST(PageCacheTest, PageRefMoveResetsSourceCompletely) {
   // Regression: the move operations used to leave a stale id_ in the
   // moved-from ref, so it still claimed the old PageId while holding no
   // pin.
   PageStore store;
   const PageId a = store.Allocate(std::make_unique<TestPage>(1));
   const PageId b = store.Allocate(std::make_unique<TestPage>(2));
-  BufferPool pool(&store, 2);
+  auto pool = OneShardPool(&store, 2);
+  SharedBufferPool::Session session(pool.get());
 
-  PageRef ref = pool.FetchPinned(a);
+  PageRef ref = session.FetchPinned(a);
   PageRef moved = std::move(ref);
   EXPECT_EQ(ref.id(), kInvalidPage);  // NOLINT(bugprone-use-after-move)
   EXPECT_EQ(ref.get(), nullptr);
@@ -336,91 +384,58 @@ TEST(BufferPoolTest, PageRefMoveResetsSourceCompletely) {
 
   // Move assignment must reset the source the same way (and release the
   // destination's old pin exactly once).
-  PageRef target = pool.FetchPinned(b);
-  EXPECT_EQ(pool.PinnedPages(), 2u);
+  PageRef target = session.FetchPinned(b);
+  EXPECT_EQ(pool->PinnedPages(), 2u);
   target = std::move(moved);
-  EXPECT_EQ(pool.PinnedPages(), 1u);
+  EXPECT_EQ(pool->PinnedPages(), 1u);
   EXPECT_EQ(target.id(), a);
   EXPECT_EQ(moved.id(), kInvalidPage);  // NOLINT(bugprone-use-after-move)
   EXPECT_EQ(moved.get(), nullptr);
 }
 
-TEST(BufferPoolTest, PageRefReleaseIsIdempotentAndMovedFromSafe) {
+TEST(PageCacheTest, PageRefReleaseIsIdempotentAndMovedFromSafe) {
   PageStore store;
   const PageId a = store.Allocate(std::make_unique<TestPage>(1));
-  BufferPool pool(&store, 2);
+  auto pool = OneShardPool(&store, 2);
+  SharedBufferPool::Session session(pool.get());
 
-  PageRef ref = pool.FetchPinned(a);
+  PageRef ref = session.FetchPinned(a);
   PageRef moved = std::move(ref);
   // Releasing a moved-from ref must not unpin anything (the pin moved).
   ref.Release();  // NOLINT(bugprone-use-after-move)
-  EXPECT_EQ(pool.PinnedPages(), 1u);
+  EXPECT_EQ(pool->PinnedPages(), 1u);
 
   moved.Release();
-  EXPECT_EQ(pool.PinnedPages(), 0u);
+  EXPECT_EQ(pool->PinnedPages(), 0u);
   EXPECT_EQ(moved.id(), kInvalidPage);
   EXPECT_EQ(moved.get(), nullptr);
   // Double release is a no-op, not a double unpin.
   moved.Release();
-  EXPECT_EQ(pool.PinnedPages(), 0u);
+  EXPECT_EQ(pool->PinnedPages(), 0u);
 }
 
-// --- Backend mode: Put / write-back / flush ---
+// --- Backend mode: pages written by EncodeAndWrite, read through the pool ---
 
-TEST(BufferPoolBackendTest, PutFlushFetchRoundTrip) {
+TEST(PageCacheBackendTest, EncodeAndWriteThenFetchRoundTrip) {
   MemoryPageBackend backend;
   TestCodec codec;
-  BufferPool pool(&backend, &codec, 4);
-  EXPECT_TRUE(pool.backend_mode());
-  ASSERT_TRUE(pool.Put(0, std::make_unique<TestPage>(10)).ok());
-  ASSERT_TRUE(pool.Put(1, std::make_unique<TestPage>(11)).ok());
-  EXPECT_EQ(pool.DirtyPages(), 2u);
-  EXPECT_EQ(backend.LivePageCount(), 0u);  // nothing written yet
-  ASSERT_TRUE(pool.FlushAll().ok());
-  EXPECT_EQ(pool.DirtyPages(), 0u);
+  ASSERT_TRUE(EncodeAndWrite(codec, TestPage(10), 0, &backend).ok());
+  ASSERT_TRUE(EncodeAndWrite(codec, TestPage(11), 1, &backend).ok());
   EXPECT_EQ(backend.LivePageCount(), 2u);
-  // A fresh pool over the same backend decodes what was written.
-  BufferPool reader(&backend, &codec, 4);
-  EXPECT_EQ(static_cast<const TestPage*>(reader.Fetch(0))->tag(), 10);
-  EXPECT_EQ(static_cast<const TestPage*>(reader.Fetch(1))->tag(), 11);
+  SharedBufferPoolOptions options;
+  options.capacity = 4;
+  options.shards = 1;
+  SharedBufferPool pool(&backend, &codec, options);
+  EXPECT_TRUE(pool.backend_mode());
+  SharedBufferPool::Session reader(&pool);
+  EXPECT_EQ(TagOf(reader.FetchPinned(0)), 10);
+  EXPECT_EQ(TagOf(reader.FetchPinned(1)), 11);
   EXPECT_EQ(reader.stats().misses, 2u);
-  reader.Fetch(0);  // resident: a hit, no backend read
+  reader.FetchPinned(0);  // resident: a hit, no backend read
   EXPECT_EQ(reader.stats().misses, 2u);
 }
 
-TEST(BufferPoolBackendTest, EvictionWritesBackDirtyVictim) {
-  MemoryPageBackend backend;
-  TestCodec codec;
-  BufferPool pool(&backend, &codec, /*capacity=*/1);
-  ASSERT_TRUE(pool.Put(0, std::make_unique<TestPage>(20)).ok());
-  // Inserting page 1 must spill dirty page 0 to the backend.
-  ASSERT_TRUE(pool.Put(1, std::make_unique<TestPage>(21)).ok());
-  EXPECT_EQ(pool.Evictions(), 1u);
-  EXPECT_TRUE(backend.IsAllocated(0));
-  uint8_t buffer[kPageSize];
-  ASSERT_TRUE(backend.Read(0, buffer).ok());
-  Result<std::unique_ptr<Page>> decoded = codec.Decode(buffer, 0);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(static_cast<const TestPage*>(decoded.value().get())->tag(), 20);
-}
-
-TEST(BufferPoolBackendTest, DestructionFlushesDirtyFrames) {
-  MemoryPageBackend backend;
-  TestCodec codec;
-  {
-    BufferPool pool(&backend, &codec, 4);
-    ASSERT_TRUE(pool.Put(3, std::make_unique<TestPage>(33)).ok());
-    EXPECT_EQ(backend.LivePageCount(), 0u);
-  }  // flush-on-destruction
-  EXPECT_EQ(backend.LivePageCount(), 1u);
-  uint8_t buffer[kPageSize];
-  ASSERT_TRUE(backend.Read(3, buffer).ok());
-  Result<std::unique_ptr<Page>> decoded = codec.Decode(buffer, 3);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(static_cast<const TestPage*>(decoded.value().get())->tag(), 33);
-}
-
-TEST(BufferPoolBackendTest, MissCountsMatchStoreModeExactly) {
+TEST(PageCacheBackendTest, MissCountsMatchStoreModeExactly) {
   // The shared-LRU property the differential suite relies on, in
   // miniature: the same access pattern costs the same misses in both
   // modes.
@@ -430,31 +445,35 @@ TEST(BufferPoolBackendTest, MissCountsMatchStoreModeExactly) {
   PageId ids[3];
   for (int i = 0; i < 3; ++i) {
     ids[i] = store.Allocate(std::make_unique<TestPage>(i));
-    uint8_t buffer[kPageSize];
-    codec.Encode(TestPage(i), buffer);
-    ASSERT_TRUE(backend.Write(ids[i], buffer).ok());
+    ASSERT_TRUE(EncodeAndWrite(codec, TestPage(i), ids[i], &backend).ok());
   }
-  BufferPool store_pool(&store, 2);
-  BufferPool backend_pool(&backend, &codec, 2);
+  SharedBufferPoolOptions options;
+  options.capacity = 2;
+  options.shards = 1;
+  SharedBufferPool store_pool(&store, options);
+  SharedBufferPool backend_pool(&backend, &codec, options);
+  SharedBufferPool::Session store_session(&store_pool);
+  SharedBufferPool::Session backend_session(&backend_pool);
   const PageId pattern[] = {ids[0], ids[1], ids[0], ids[2],
                             ids[0], ids[1], ids[2]};
   for (const PageId id : pattern) {
-    store_pool.Fetch(id);
-    backend_pool.Fetch(id);
+    EXPECT_EQ(TagOf(store_session.FetchPinned(id)),
+              TagOf(backend_session.FetchPinned(id)));
   }
-  EXPECT_EQ(store_pool.stats().accesses, backend_pool.stats().accesses);
-  EXPECT_EQ(store_pool.stats().misses, backend_pool.stats().misses);
+  EXPECT_EQ(store_session.stats().accesses, backend_session.stats().accesses);
+  EXPECT_EQ(store_session.stats().misses, backend_session.stats().misses);
   EXPECT_EQ(store_pool.Evictions(), backend_pool.Evictions());
 }
 
-TEST(BufferPoolBackendTest, FetchOfUnwrittenPageAborts) {
+TEST(PageCacheBackendDeathTest, FetchOfUnwrittenPageAborts) {
   MemoryPageBackend backend;
   TestCodec codec;
-  uint8_t buffer[kPageSize];
-  codec.Encode(TestPage(1), buffer);
-  ASSERT_TRUE(backend.Write(0, buffer).ok());
-  BufferPool pool(&backend, &codec, 4);
-  EXPECT_DEATH(pool.Fetch(9), "freed or out-of-range");
+  ASSERT_TRUE(EncodeAndWrite(codec, TestPage(1), 0, &backend).ok());
+  SharedBufferPoolOptions options;
+  options.capacity = 4;
+  SharedBufferPool pool(&backend, &codec, options);
+  SharedBufferPool::Session session(&pool);
+  EXPECT_DEATH(session.FetchPinned(9), "freed or out-of-range");
 }
 
 }  // namespace
