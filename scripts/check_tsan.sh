@@ -13,7 +13,7 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 TESTS=(thread_pool_test parallel_pipeline_test concurrency_test
        backend_differential_test snapshot_backend_test trace_test
        shared_buffer_pool_test fuzz_differential_test crash_recovery_test
-       live_tier_test http_exposition_test)
+       live_tier_test http_exposition_test page_codec_test)
 
 cmake -B "$BUILD_DIR" -S "$(dirname "$0")/.." \
   -DSTINDEX_SANITIZE=thread \

@@ -99,6 +99,15 @@ Status WriteCheckpointMeta(PageBackend* backend, WalSlotAllocator* allocator,
 Result<std::vector<uint8_t>> ReadCheckpointMeta(const PageBackend& backend,
                                                 const CheckpointHeader& header,
                                                 std::vector<PageId>* slots) {
+  // The chain cannot hold more than meta_pages full pages; a larger size
+  // is a corrupt header, not an allocation size.
+  if (header.meta_bytes >
+      static_cast<uint64_t>(header.meta_pages) * kMetaBytesPerPage) {
+    return Status::InvalidArgument(
+        "checkpoint " + std::to_string(header.checkpoint_seq) +
+        ": header says " + std::to_string(header.meta_bytes) +
+        " metadata bytes in " + std::to_string(header.meta_pages) + " pages");
+  }
   std::vector<uint8_t> bytes;
   bytes.reserve(header.meta_bytes);
   uint8_t page[kPageSize];

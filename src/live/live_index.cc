@@ -149,7 +149,8 @@ Status LiveIndex::DecodeState(ByteSource* in) {
     ObjectId object = 0;
     Time start = 0;
     uint64_t rect_count = 0;
-    if (!in->Read(&object) || !in->Read(&start) || !in->Read(&rect_count)) {
+    if (!in->Read(&object) || !in->Read(&start) || !in->Read(&rect_count) ||
+        rect_count > in->remaining() / sizeof(Rect2D)) {
       return Status::InvalidArgument("checkpoint: truncated live buffer");
     }
     auto buffer = buffers_.emplace(object, Buffer(start, options_.split)).first;

@@ -121,7 +121,11 @@ Status MigrationPipeline::DecodeState(ByteSource* in) {
   STINDEX_CHECK_MSG(segments_.empty() && events_.empty(),
                     "checkpoint restore into a non-empty pipeline");
   uint64_t segment_count = 0;
-  if (!in->Read(&segment_count)) {
+  constexpr size_t kSegmentBytes = sizeof(SegmentRecord::object) +
+                                   sizeof(STBox::rect) +
+                                   sizeof(STBox::interval);
+  if (!in->Read(&segment_count) ||
+      segment_count > in->remaining() / kSegmentBytes) {
     return Status::InvalidArgument("checkpoint: truncated segment list");
   }
   segments_.reserve(static_cast<size_t>(segment_count));

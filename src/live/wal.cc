@@ -273,7 +273,10 @@ Result<WalReplayStats> ReplayWal(
     Candidate candidate;
     candidate.slot = slot;
     uint32_t count = 0;
-    bool well_formed = reader.Read(&candidate.seq) && reader.Read(&count);
+    // Every record is at least kHeaderBytes; a count the page cannot hold
+    // is a malformed payload, not an allocation size.
+    bool well_formed = reader.Read(&candidate.seq) && reader.Read(&count) &&
+                       count <= reader.remaining() / kHeaderBytes;
     if (well_formed) {
       candidate.records.reserve(count);
       for (uint32_t i = 0; i < count; ++i) {

@@ -1,23 +1,9 @@
 #include "storage/page_codec.h"
 
-#include <array>
 #include <string>
 
 namespace stindex {
 namespace {
-
-// Table-driven CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
-std::array<uint32_t, 256> BuildCrcTable() {
-  std::array<uint32_t, 256> table{};
-  for (uint32_t i = 0; i < 256; ++i) {
-    uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-    }
-    table[i] = c;
-  }
-  return table;
-}
 
 uint16_t LoadU16(const uint8_t* p) {
   return static_cast<uint16_t>(p[0] | (p[1] << 8));
@@ -42,15 +28,6 @@ void StoreU32(uint8_t* p, uint32_t v) {
 }
 
 }  // namespace
-
-uint32_t Crc32(const uint8_t* data, size_t size) {
-  static const std::array<uint32_t, 256> kTable = BuildCrcTable();
-  uint32_t c = 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    c = kTable[(c ^ data[i]) & 0xffu] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
 
 void SealPage(uint8_t* page, PageKind kind) {
   StoreU16(page + 4, static_cast<uint16_t>(kind));

@@ -39,7 +39,9 @@ inline constexpr size_t kPageEnvelopeBytes = 8;
 inline constexpr size_t kPagePayloadBytes = kPageSize - kPageEnvelopeBytes;
 inline constexpr uint16_t kPageCodecVersion = 1;
 
-// CRC-32 (IEEE 802.3 polynomial, reflected) over `size` bytes.
+// CRC-32 (IEEE 802.3 polynomial, reflected) over `size` bytes. Runs a
+// PCLMULQDQ kernel on x86-64 CPUs that have it and slicing-by-8
+// elsewhere, chosen once at first call (storage/crc32.cc).
 uint32_t Crc32(const uint8_t* data, size_t size);
 
 // Stamps the envelope (kind, version, checksum) onto a kPageSize buffer

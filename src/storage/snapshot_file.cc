@@ -283,6 +283,13 @@ Result<std::unique_ptr<SnapshotFile>> SnapshotFile::Open(
                                    " manifest pages for " +
                                    std::to_string(node_count) + " nodes)");
   }
+  // Each extent is two u32s; a count the page cannot hold is corrupt, and
+  // must not size an allocation.
+  if (level_count > reader.remaining() / (2 * sizeof(uint32_t))) {
+    return Status::InvalidArgument(
+        path + ": corrupt superblock (" + std::to_string(level_count) +
+        " level extents do not fit the page)");
+  }
   // The extents must tile [0, node_count) bottom-up with no gaps.
   std::vector<SnapshotLevelExtent> extents(level_count);
   uint64_t covered = 0;
@@ -334,7 +341,8 @@ Result<std::unique_ptr<SnapshotFile>> SnapshotFile::Open(
   if (file->map_ == nullptr) Metrics().fallback_opens->Add(1);
 
   // Verify the manifest digest, then every data page against its manifest
-  // entry — after this pass the zero-copy path serves pages unrechecked.
+  // entry. Each later page-cache miss re-checks its page's envelope CRC
+  // when the codec decodes it.
   std::vector<uint32_t> checksums;
   checksums.reserve(file->node_count_);
   uint8_t buffer[kPageSize];

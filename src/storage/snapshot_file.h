@@ -41,7 +41,8 @@ struct SnapshotLevelExtent {
 // knowing their count up front. The superblock's manifest digest (CRC-32
 // over the concatenated per-page checksums) ties the manifest to the
 // superblock; every data page is verified against its manifest entry at
-// open time, so the zero-copy path never re-validates on reads.
+// open time. Reads are still checked: each page-cache miss decodes the
+// borrowed page through its codec, which verifies the page envelope.
 class SnapshotWriter {
  public:
   // Creates a new snapshot file at `path` (truncating any existing file).

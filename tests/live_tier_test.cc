@@ -18,11 +18,13 @@
 #include "datagen/random_dataset.h"
 #include "live/live_index.h"
 #include "live/live_tier.h"
+#include "live/migration.h"
 #include "live/wal.h"
 #include "storage/fault_backend.h"
 #include "storage/file_backend.h"
 #include "storage/page_backend.h"
 #include "storage/page_codec.h"
+#include "util/bytes.h"
 
 namespace stindex {
 namespace {
@@ -184,6 +186,42 @@ TEST(WalTest, ReplayRejectsInteriorGap) {
       << replayed.status().ToString();
 }
 
+// Overwrites `size` payload bytes at `offset` of page `slot` and reseals
+// the envelope as `kind`, so the checksum passes and only the payload's
+// own checks can reject the page.
+void PatchAndReseal(PageBackend* backend, PageId slot, PageKind kind,
+                    size_t offset, const void* value, size_t size) {
+  uint8_t page[kPageSize];
+  ASSERT_TRUE(backend->Read(slot, page).ok());
+  std::memcpy(page + kPageEnvelopeBytes + offset, value, size);
+  SealPage(page, kind);
+  ASSERT_TRUE(backend->Write(slot, page).ok());
+}
+
+TEST(WalTest, HugeRecordCountIsMalformedNotAllocated) {
+  MemoryPageBackend backend;
+  WalSlotAllocator slots;
+  WalWriter writer(&backend, &slots, 1);
+  for (const WalRecord& record : SampleRecords(600)) {
+    ASSERT_TRUE(writer.Append(record).ok());
+  }
+  ASSERT_TRUE(writer.Commit().ok());
+  ASSERT_GE(writer.pages_written(), 3u);
+
+  // The first page's record count (after its u64 sequence) claims far
+  // more records than a page holds, under a valid checksum.
+  const uint32_t huge = UINT32_MAX;
+  PatchAndReseal(&backend, kWalFirstDataSlot, PageKind::kWalPage,
+                 sizeof(uint64_t), &huge, sizeof(huge));
+  WalReplayStats stats;
+  Result<std::vector<WalRecord>> replayed = Replay(backend, &stats);
+  ASSERT_FALSE(replayed.ok());
+  EXPECT_EQ(replayed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(replayed.status().message().find("malformed record payload"),
+            std::string::npos)
+      << replayed.status().ToString();
+}
+
 TEST(WalTest, TruncateBeforeFreesAbsorbedPrefixAndRecyclesSlots) {
   MemoryPageBackend backend;
   WalSlotAllocator slots;
@@ -251,6 +289,43 @@ TEST(LiveIndexTest, EnforcesStreamInvariants) {
   EXPECT_FALSE(index.Observe(1, 11, UnitRect(0.1, 0.2), &applied).ok());
   // Ending an object never observed is an error.
   EXPECT_FALSE(index.End(5, 3, &applied).ok());
+}
+
+TEST(LiveIndexTest, DecodeStateRejectsHugeRectCount) {
+  LiveIndex source(LiveIndexOptions{});
+  bool applied = false;
+  ASSERT_TRUE(source.Observe(1, 10, UnitRect(0.1, 0.2), &applied).ok());
+  ASSERT_TRUE(source.Observe(1, 11, UnitRect(0.1, 0.3), &applied).ok());
+  ByteSink sink;
+  source.EncodeState(&sink);
+  std::vector<uint8_t> bytes = sink.bytes();
+
+  // State: u64 buffer count, then per buffer object, start, u64 rect
+  // count and the rects.
+  const size_t rect_count_off =
+      sizeof(uint64_t) + sizeof(ObjectId) + sizeof(Time);
+  uint64_t rect_count = 0;
+  std::memcpy(&rect_count, bytes.data() + rect_count_off, sizeof(rect_count));
+  ASSERT_EQ(rect_count, 2u);
+  const uint64_t huge = UINT64_MAX;
+  std::memcpy(bytes.data() + rect_count_off, &huge, sizeof(huge));
+
+  LiveIndex restored(LiveIndexOptions{});
+  ByteSource in(bytes.data(), bytes.size());
+  const Status status = restored.DecodeState(&in);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+}
+
+TEST(MigrationPipelineTest, DecodeStateRejectsHugeSegmentCount) {
+  // A u64 segment count no byte stream of this size can back, followed
+  // by one zeroed segment's worth of bytes.
+  ByteSink sink;
+  sink.Write<uint64_t>(UINT64_MAX);
+  sink.Write(SegmentRecord{});
+  MigrationPipeline pipeline(/*tree=*/nullptr);
+  ByteSource in(sink.bytes().data(), sink.size());
+  const Status status = pipeline.DecodeState(&in);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
 }
 
 TEST(LiveIndexTest, SealingPolicyInputs) {
@@ -619,6 +694,45 @@ TEST(LiveTierTest, CheckpointTruncatesJournalAndReopensFromIt) {
     reference.value()->IntervalQuery(query.area, query.range, &want);
     EXPECT_EQ(got, want);
   }
+  std::remove(path.c_str());
+}
+
+TEST(LiveTierTest, CheckpointHeaderWithHugeMetaSizeFailsOpen) {
+  const std::vector<Trajectory> objects = SmallDataset(23);
+  const std::vector<LiveObservation> stream = MakeObservationStream(objects);
+  const std::string path = ::testing::TempDir() + "/live_ckpt_huge.stpages";
+  {
+    Result<std::unique_ptr<FilePageBackend>> wal = FilePageBackend::Create(path);
+    ASSERT_TRUE(wal.ok());
+    Result<std::unique_ptr<LiveTier>> tier =
+        LiveTier::Open(SmallTierOptions(), std::move(wal).value());
+    ASSERT_TRUE(tier.ok());
+    for (size_t i = 0; i < stream.size() / 2; ++i) {
+      ASSERT_TRUE(tier.value()->Apply(stream[i]).ok());
+    }
+    ASSERT_TRUE(tier.value()->Commit().ok());
+    ASSERT_TRUE(tier.value()->Checkpoint().ok());
+    ASSERT_EQ(tier.value()->checkpoint_seq(), 1u);
+  }
+  {
+    // Checkpoint 1's header lives in slot 1. Its payload: u64 seq, u64
+    // wal_start_seq, u32 meta_head, u32 meta_pages, u64 meta_bytes.
+    Result<std::unique_ptr<FilePageBackend>> wal = FilePageBackend::Open(path);
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    const uint64_t huge = UINT64_MAX;
+    PatchAndReseal(wal.value().get(), /*slot=*/1, PageKind::kCheckpointHeader,
+                   2 * sizeof(uint64_t) + sizeof(PageId) + sizeof(uint32_t),
+                   &huge, sizeof(huge));
+    ASSERT_TRUE(wal.value()->Sync().ok());
+  }
+  Result<std::unique_ptr<FilePageBackend>> wal = FilePageBackend::Open(path);
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  Result<std::unique_ptr<LiveTier>> tier =
+      LiveTier::Open(SmallTierOptions(), std::move(wal).value());
+  ASSERT_FALSE(tier.ok());
+  EXPECT_EQ(tier.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(tier.status().message().find("metadata bytes"), std::string::npos)
+      << tier.status().ToString();
   std::remove(path.c_str());
 }
 

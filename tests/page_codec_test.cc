@@ -5,7 +5,9 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "storage/crc32_internal.h"
 #include "storage/file_backend.h"
 #include "storage/page_codec.h"
 
@@ -148,6 +150,104 @@ TEST(PageEnvelopeTest, Crc32MatchesKnownVector) {
   // The standard check value for CRC-32/IEEE over "123456789".
   const uint8_t data[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
   EXPECT_EQ(Crc32(data, sizeof(data)), 0xCBF43926u);
+}
+
+TEST(PageEnvelopeTest, SealedPageChecksumIsPinned) {
+  // A fixed payload sealed by the byte-at-a-time CRC the format was
+  // defined with. Any kernel change that moves these bytes changes the
+  // on-disk format.
+  std::array<uint8_t, kPageSize> page{};
+  PageWriter writer = PayloadWriter(page.data());
+  for (uint32_t i = 0; i < 1000; ++i) writer.Write<uint32_t>(i * 2654435761u);
+  SealPage(page.data(), PageKind::kTest);
+  const uint32_t stored = static_cast<uint32_t>(page[0]) |
+                          (static_cast<uint32_t>(page[1]) << 8) |
+                          (static_cast<uint32_t>(page[2]) << 16) |
+                          (static_cast<uint32_t>(page[3]) << 24);
+  EXPECT_EQ(stored, 0xaf05718eu);
+  EXPECT_EQ(Crc32(page.data(), kPageSize), 0x7ed397e6u);
+}
+
+// --- CRC-32 kernels against a byte-at-a-time reference ---
+
+// The textbook table-driven CRC-32 (reflected 0xEDB88320, init and final
+// XOR 0xFFFFFFFF): one table lookup per byte.
+uint32_t ReferenceCrc32(const uint8_t* data, size_t size) {
+  static const std::array<uint32_t, 256> table = [] {
+    std::array<uint32_t, 256> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    c = table[(c ^ data[i]) & 0xffu] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+using Crc32Kernel = uint32_t (*)(const uint8_t*, size_t);
+
+// Every offset 0-15 (so 16-byte loads straddle every alignment) times
+// every length 0-700 (every tail length, zero to ten 64-byte blocks),
+// plus page-sized and odd large inputs.
+void ExpectMatchesReference(Crc32Kernel kernel) {
+  std::vector<uint8_t> buffer(8191 + 16);
+  uint32_t state = 0x12345678u;
+  for (uint8_t& byte : buffer) {
+    state = state * 1664525u + 1013904223u;
+    byte = static_cast<uint8_t>(state >> 24);
+  }
+  for (size_t offset = 0; offset < 16; ++offset) {
+    const uint8_t* data = buffer.data() + offset;
+    for (size_t size = 0; size <= 700; ++size) {
+      ASSERT_EQ(kernel(data, size), ReferenceCrc32(data, size))
+          << "offset " << offset << " size " << size;
+    }
+    for (size_t size : {size_t{4092}, size_t{4096}, size_t{8191}}) {
+      ASSERT_EQ(kernel(data, size), ReferenceCrc32(data, size))
+          << "offset " << offset << " size " << size;
+    }
+  }
+}
+
+// The standard check value. Nine bytes is under the fast kernel's 64-byte
+// minimum, so through Crc32Clmul this checks its hand-off to the portable
+// kernel; the reference sweep above covers its folding.
+void ExpectCheckValue(Crc32Kernel kernel) {
+  const uint8_t data[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  EXPECT_EQ(kernel(data, sizeof(data)), 0xCBF43926u);
+}
+
+TEST(Crc32KernelTest, PortableMatchesReference) {
+  ExpectMatchesReference(crc32_internal::Crc32Portable);
+}
+
+TEST(Crc32KernelTest, PortableCheckValue) {
+  ExpectCheckValue(crc32_internal::Crc32Portable);
+}
+
+TEST(Crc32KernelTest, ClmulMatchesReference) {
+  if (!crc32_internal::ClmulAvailable()) {
+    GTEST_SKIP() << "no PCLMULQDQ/SSE4.1 on this CPU or build";
+  }
+  ExpectMatchesReference(crc32_internal::Crc32Clmul);
+}
+
+TEST(Crc32KernelTest, ClmulCheckValue) {
+  if (!crc32_internal::ClmulAvailable()) {
+    GTEST_SKIP() << "no PCLMULQDQ/SSE4.1 on this CPU or build";
+  }
+  ExpectCheckValue(crc32_internal::Crc32Clmul);
+}
+
+TEST(Crc32KernelTest, DispatchedMatchesReference) {
+  ExpectMatchesReference(Crc32);
 }
 
 // --- FilePageBackend open-time validation ---

@@ -612,6 +612,23 @@ TEST_F(SnapshotCorruptionTest, ExtentMismatchFailsOpen) {
       << status.ToString();
 }
 
+TEST_F(SnapshotCorruptionTest, HugeLevelCountFailsOpen) {
+  const std::string path = PackFixture("corrupt_level_count");
+  std::vector<uint8_t> bytes = ReadFile(path);
+  // level_count follows magic u64, version u32, page_size u32 and
+  // node_count u64. Claim more extents than the page holds.
+  const size_t level_count_off = kPageEnvelopeBytes + 8 + 4 + 4 + 8;
+  const uint32_t huge = UINT32_MAX;
+  std::memcpy(bytes.data() + level_count_off, &huge, sizeof(huge));
+  SealPage(bytes.data(), PageKind::kSnapshotSuperblock);
+  WriteFile(path, bytes);
+  const Status status = OpenStatus(path);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.ToString().find("corrupt superblock"), std::string::npos)
+      << status.ToString();
+}
+
 TEST_F(SnapshotCorruptionTest, CorruptSuperblockEnvelopeFailsOpen) {
   const std::string path = PackFixture("corrupt_super_env");
   std::vector<uint8_t> bytes = ReadFile(path);
