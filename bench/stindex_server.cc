@@ -251,7 +251,7 @@ void DumpProm(const ServerFlags& flags, MetricRegistry& registry) {
 // Alternates the two paper query mixes into one request stream, so
 // neighboring requests from one client exercise different access
 // patterns (like interleaved dashboard + drill-down traffic).
-std::vector<STQuery> MakeRequestStream(const BenchScale& scale, size_t total) {
+std::vector<STQuery> MakeRequestStream(size_t total) {
   const size_t half = (total + 1) / 2;
   const std::vector<STQuery> snapshots =
       MakeQueries(MixedSnapshotSet(), half);
@@ -293,7 +293,7 @@ void RunMixed(const BenchArgs& args, const ServerFlags& flags) {
 
   const std::vector<Trajectory> objects = MakeRandomDataset(n);
   const std::vector<LiveObservation> updates = MakeObservationStream(objects);
-  const std::vector<STQuery> queries = MakeRequestStream(scale, stream_size);
+  const std::vector<STQuery> queries = MakeRequestStream(stream_size);
 
   std::unique_ptr<PageBackend> wal;
   if (args.backend == "file") {
@@ -520,7 +520,7 @@ void Run(const BenchArgs& args, const ServerFlags& flags) {
       SplitWithLaGreedy(objects, 150, args.threads);
   const std::unique_ptr<PprTree> tree = BuildPprTree(records);
   AttachBenchBackend(tree.get(), args, "server");
-  const std::vector<STQuery> stream = MakeRequestStream(scale, stream_size);
+  const std::vector<STQuery> stream = MakeRequestStream(stream_size);
 
   const std::unique_ptr<SharedBufferPool> pool =
       tree->NewSharedQueryPool(buffer_pages);
@@ -635,7 +635,7 @@ void RunSoak(const BenchArgs& args, ServerFlags flags) {
   const std::vector<Trajectory> objects = MakeRandomDataset(n);
   const std::vector<LiveObservation> updates = MakeObservationStream(objects);
   const std::vector<STQuery> queries =
-      MakeRequestStream(scale, scale.query_count * 4);
+      MakeRequestStream(scale.query_count * 4);
 
   std::unique_ptr<PageBackend> wal;
   if (args.backend == "file") {

@@ -48,6 +48,7 @@ Status LiveIndex::Observe(ObjectId object, Time t, const Rect2D& rect,
   auto buffer = buffers_.find(object);
   if (buffer == buffers_.end()) {
     buffer = buffers_.emplace(object, Buffer(t, options_.split)).first;
+    ++starts_[t];
   }
   buffer->second.rects.push_back(rect);
   buffer->second.splitter.Observe(rect);
@@ -96,6 +97,8 @@ Result<LiveIndex::SealedChunk> LiveIndex::Seal(ObjectId object) {
   chunk.cuts = buffer->second.splitter.cuts();
   buffered_instants_ -= chunk.rects.size();
   buffers_.erase(buffer);
+  auto start = starts_.find(chunk.start);
+  if (--start->second == 0) starts_.erase(start);
   return chunk;
 }
 
@@ -153,7 +156,9 @@ Status LiveIndex::DecodeState(ByteSource* in) {
         rect_count > in->remaining() / sizeof(Rect2D)) {
       return Status::InvalidArgument("checkpoint: truncated live buffer");
     }
-    auto buffer = buffers_.emplace(object, Buffer(start, options_.split)).first;
+    auto [buffer, inserted] =
+        buffers_.emplace(object, Buffer(start, options_.split));
+    if (inserted) ++starts_[start];
     buffer->second.rects.reserve(static_cast<size_t>(rect_count));
     for (uint64_t j = 0; j < rect_count; ++j) {
       Rect2D rect;
@@ -263,12 +268,7 @@ void LiveIndex::CollectLive(const Rect2D& area, const TimeInterval& range,
 }
 
 Time LiveIndex::Watermark() const {
-  if (buffers_.empty()) return last_global_;
-  Time watermark = std::numeric_limits<Time>::max();
-  for (const auto& [object, buffer] : buffers_) {
-    watermark = std::min(watermark, buffer.start);
-  }
-  return watermark;
+  return starts_.empty() ? last_global_ : starts_.begin()->first;
 }
 
 }  // namespace stindex

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -141,7 +142,8 @@ class LiveIndex {
   Time last_time() const { return last_global_; }
   // Migration watermark: every future segment starts at or after this
   // time. Minimum first-buffered-instant over live buffers; the last
-  // global observation time when no buffer is open.
+  // global observation time when no buffer is open. O(1): it reads the
+  // smallest key of `starts_`.
   Time Watermark() const;
 
  private:
@@ -156,6 +158,9 @@ class LiveIndex {
 
   LiveIndexOptions options_;
   std::unordered_map<ObjectId, Buffer> buffers_;
+  // Number of buffers per first instant (Buffer::start), kept by every
+  // call that opens or seals a buffer, so the watermark is the first key.
+  std::map<Time, size_t> starts_;
   // Last observed instant per object, across seals (the dedup and
   // consecutiveness high-water mark).
   std::unordered_map<ObjectId, Time> last_instant_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstring>
 #include <limits>
 #include <optional>
 #include <unordered_set>
@@ -15,6 +17,120 @@
 #include "util/trace.h"
 
 namespace stindex {
+
+namespace {
+
+// Read-only access to a node's level and entries, in either of the two
+// representations a PPR-tree page has: the Entry vector of an in-memory
+// Node, or the packed entries of a sealed node page read in place. Entry
+// i's fields are read at `i * stride` plus a per-field offset (the rect at
+// 0 and the lifetime right after it in both layouts), so the queries walk
+// one loop whatever a PageRef holds.
+class NodeView {
+ public:
+  struct Layout {
+    size_t stride = 0;
+    size_t child_offset = 0;
+    size_t data_offset = 0;
+  };
+
+  NodeView() = default;
+  NodeView(int level, size_t count, const uint8_t* entries,
+           const Layout& layout)
+      : entries_(entries), count_(count), level_(level), layout_(layout) {}
+
+  int level() const { return level_; }
+  bool IsLeaf() const { return level_ == 0; }
+  size_t size() const { return count_; }
+
+  Rect2D rect(size_t i) const { return Load<Rect2D>(i, 0); }
+  TimeInterval lifetime(size_t i) const {
+    return Load<TimeInterval>(i, sizeof(Rect2D));
+  }
+  PageId child(size_t i) const { return Load<PageId>(i, layout_.child_offset); }
+  PprDataId data(size_t i) const {
+    return Load<PprDataId>(i, layout_.data_offset);
+  }
+
+ private:
+  template <typename T>
+  T Load(size_t i, size_t offset) const {
+    T value;
+    std::memcpy(&value, entries_ + i * layout_.stride + offset, sizeof(T));
+    return value;
+  }
+
+  const uint8_t* entries_ = nullptr;
+  size_t count_ = 0;
+  int level_ = 0;
+  Layout layout_;
+};
+
+// Every page a PPR-tree query pins is a NodePage: the page itself says
+// how to view it, so no caller infers the representation from the tree's
+// mode (a caller may still hold a store-mode pool after the tree packed).
+class NodePage : public Page {
+ public:
+  virtual NodeView View() const = 0;
+};
+
+// A sealed node page read in place. The bytes belong to the pool frame or
+// the snapshot mapping and outlive this object (PageCodec::Decode's
+// contract); it holds only the view the codec parsed and bounds-checked.
+class PackedNode final : public NodePage {
+ public:
+  explicit PackedNode(const NodeView& view) : view_(view) {}
+  NodeView View() const override { return view_; }
+
+ private:
+  NodeView view_;
+};
+
+// The one traversal behind every query: depth-first from `root` through
+// the entries whose lifetime `live` accepts and whose rect meets `area`.
+// Directory entries descend; leaf entries go to `emit`. When `profile` is
+// non-null, node visits per level and leaf entries scanned are counted.
+template <typename Live, typename Emit>
+void Walk(PageId root, const Rect2D& area, PageCache* buffer,
+          QueryProfile* profile, Live live, Emit emit) {
+  std::vector<PageId> stack = {root};
+  while (!stack.empty()) {
+    const PageId id = stack.back();
+    stack.pop_back();
+    // Pinned for the loop body: the viewed bytes stay resident.
+    const PageRef ref = buffer->FetchPinned(id);
+    const NodeView node = static_cast<const NodePage*>(ref.get())->View();
+    if (profile != nullptr) {
+      profile->CountNode(node.level());
+      if (node.IsLeaf()) profile->leaf_entries_scanned += node.size();
+    }
+    for (size_t i = 0; i < node.size(); ++i) {
+      // Few entries pass both tests, and which ones is hard to predict:
+      // the tests combine with `&` into one branch per entry.
+      const Rect2D rect = node.rect(i);
+      const bool hit = live(node.lifetime(i)) & (rect.xlo <= area.xhi) &
+                       (area.xlo <= rect.xhi) & (rect.ylo <= area.yhi) &
+                       (area.ylo <= rect.yhi);
+      if (!hit) continue;
+      if (node.IsLeaf()) {
+        emit(node.data(i));
+      } else {
+        stack.push_back(node.child(i));
+      }
+    }
+  }
+}
+
+// Adds one query's buffer hit/miss deltas and candidates to `profile`.
+void AddQueryTotals(const IoStats& before, const IoStats& after,
+                    size_t candidates, QueryProfile* profile) {
+  profile->candidates += candidates;
+  profile->pages_missed += after.misses - before.misses;
+  profile->pages_hit +=
+      (after.accesses - before.accesses) - (after.misses - before.misses);
+}
+
+}  // namespace
 
 // An index or data record inside a node. Alive entries have an open
 // deletion time (kTimeInfinity).
@@ -42,9 +158,19 @@ struct PprTree::RootEra {
   PageId root = kInvalidPage;
 };
 
-class PprTree::Node : public Page {
+class PprTree::Node final : public NodePage {
  public:
   Node(int level, Time created) : level_(level), created_(created) {}
+
+  NodeView View() const override {
+    static_assert(offsetof(Entry, rect) == 0 &&
+                  offsetof(Entry, lifetime) == sizeof(Rect2D));
+    static constexpr NodeView::Layout kLayout{
+        sizeof(Entry), offsetof(Entry, child), offsetof(Entry, data)};
+    return NodeView(level_, entries_.size(),
+                    reinterpret_cast<const uint8_t*>(entries_.data()),
+                    kLayout);
+  }
 
   int level() const { return level_; }
   bool IsLeaf() const { return level_ == 0; }
@@ -83,9 +209,27 @@ class PprTree::Node : public Page {
 //   Time    created, closed
 //   uint64  entry count (at most max_entries + 1, for transient states;
 //           encode CHECKs the bound, decode rejects more)
-//   entries: Rect2D (32 bytes), TimeInterval (16 bytes), PageId, PprDataId
+//   entries, kEntryBytes each: Rect2D (32 bytes), TimeInterval (16 bytes),
+//           PageId, PprDataId — packed, so entry i starts at page byte
+//           kEntriesOffset + i * kEntryBytes
+// Pool misses decode a page into a PackedNode that reads the entries in
+// place; checkpoint restore decodes it into a full Node. Both go through
+// one header parser, which verifies the envelope and bounds the entry
+// count by the payload — the in-place reader's only bounds check.
 class PprTree::NodeCodec : public PageCodec {
  public:
+  static constexpr size_t kChildOffset = sizeof(Rect2D) + sizeof(TimeInterval);
+  static constexpr size_t kDataOffset = kChildOffset + sizeof(PageId);
+  static constexpr size_t kEntryBytes = kDataOffset + sizeof(PprDataId);
+  static constexpr size_t kEntriesOffset =
+      kPageEnvelopeBytes + sizeof(int32_t) + 2 * sizeof(Time) +
+      sizeof(uint64_t);
+  static constexpr size_t kMaxEntries =
+      (kPageSize - kEntriesOffset) / kEntryBytes;
+  static constexpr NodeView::Layout kLayout{kEntryBytes, kChildOffset,
+                                            kDataOffset};
+  static_assert(kEntryBytes == 60 && kEntriesOffset == 36);
+
   explicit NodeCodec(size_t max_entries) : max_entries_(max_entries) {}
 
   void Encode(const Page& page, uint8_t* out) const override {
@@ -108,15 +252,49 @@ class PprTree::NodeCodec : public PageCodec {
 
   Result<std::unique_ptr<Page>> Decode(const uint8_t* page,
                                        PageId id) const override {
+    Result<Header> header = Parse(page, id);
+    if (!header.ok()) return header.status();
+    return std::unique_ptr<Page>(
+        std::make_unique<PackedNode>(header.value().view));
+  }
+
+  // A full in-memory copy of the node, for checkpoint restore.
+  Result<std::unique_ptr<Node>> DecodeNode(const uint8_t* page,
+                                           PageId id) const {
+    Result<Header> header = Parse(page, id);
+    if (!header.ok()) return header.status();
+    const NodeView& view = header.value().view;
+    auto node = std::make_unique<Node>(view.level(), header.value().created);
+    if (header.value().closed != kTimeInfinity) {
+      node->Close(header.value().closed);
+    }
+    node->entries().resize(view.size());
+    for (size_t i = 0; i < view.size(); ++i) {
+      Entry& entry = node->entries()[i];
+      entry.rect = view.rect(i);
+      entry.lifetime = view.lifetime(i);
+      entry.child = view.child(i);
+      entry.data = view.data(i);
+    }
+    return node;
+  }
+
+ private:
+  struct Header {
+    Time created = 0;
+    Time closed = 0;
+    NodeView view;
+  };
+
+  Result<Header> Parse(const uint8_t* page, PageId id) const {
     Result<PageReader> payload = OpenPagePayload(page, PageKind::kPprNode, id);
     if (!payload.ok()) return payload.status();
     PageReader reader = payload.value();
     int32_t level = 0;
-    Time created = 0;
-    Time closed = 0;
+    Header header;
     uint64_t count = 0;
-    if (!reader.Read(&level) || !reader.Read(&created) ||
-        !reader.Read(&closed) || !reader.Read(&count)) {
+    if (!reader.Read(&level) || !reader.Read(&header.created) ||
+        !reader.Read(&header.closed) || !reader.Read(&count)) {
       return Status::InvalidArgument("page " + std::to_string(id) +
                                      ": short PPR-tree node header");
     }
@@ -125,20 +303,17 @@ class PprTree::NodeCodec : public PageCodec {
           "page " + std::to_string(id) + ": implausible PPR-tree node (level " +
           std::to_string(level) + ", " + std::to_string(count) + " entries)");
     }
-    auto node = std::make_unique<Node>(static_cast<int>(level), created);
-    if (closed != kTimeInfinity) node->Close(closed);
-    node->entries().resize(static_cast<size_t>(count));
-    for (Entry& entry : node->entries()) {
-      if (!reader.Read(&entry.rect) || !reader.Read(&entry.lifetime) ||
-          !reader.Read(&entry.child) || !reader.Read(&entry.data)) {
-        return Status::InvalidArgument("page " + std::to_string(id) +
-                                       ": truncated PPR-tree node entries");
-      }
+    if (count > kMaxEntries) {
+      return Status::InvalidArgument(
+          "page " + std::to_string(id) + ": " + std::to_string(count) +
+          " PPR-tree node entries overrun the page (at most " +
+          std::to_string(kMaxEntries) + " fit)");
     }
-    return std::unique_ptr<Page>(std::move(node));
+    header.view = NodeView(level, static_cast<size_t>(count),
+                           page + kEntriesOffset, kLayout);
+    return header;
   }
 
- private:
   size_t max_entries_;
 };
 
@@ -767,36 +942,12 @@ void PprTree::SnapshotQuery(const Rect2D& area, Time t, PageCache* buffer,
 
   TraceSpan span("ppr", "snapshot_query");
   const IoStats before = buffer->stats();
-  std::vector<PageId> stack = {it->root};
-  while (!stack.empty()) {
-    const PageId id = stack.back();
-    stack.pop_back();
-    // Pinned for the loop body: the node pointer must survive any
-    // evictions a deeper Fetch could cause in backend mode.
-    const PageRef ref = buffer->FetchPinned(id);
-    const Node* node = static_cast<const Node*>(ref.get());
-    if (profile != nullptr) {
-      profile->CountNode(node->level());
-      if (node->IsLeaf()) {
-        profile->leaf_entries_scanned += node->entries().size();
-      }
-    }
-    for (const Entry& entry : node->entries()) {
-      if (!entry.lifetime.Contains(t)) continue;
-      if (!entry.rect.Intersects(area)) continue;
-      if (node->IsLeaf()) {
-        results->push_back(entry.data);
-      } else {
-        stack.push_back(entry.child);
-      }
-    }
-  }
+  Walk(
+      it->root, area, buffer, profile,
+      [t](const TimeInterval& lifetime) { return lifetime.Contains(t); },
+      [results](PprDataId data) { results->push_back(data); });
   if (profile != nullptr) {
-    profile->candidates += results->size();
-    const IoStats after = buffer->stats();
-    profile->pages_missed += after.misses - before.misses;
-    profile->pages_hit +=
-        (after.accesses - before.accesses) - (after.misses - before.misses);
+    AddQueryTotals(before, buffer->stats(), results->size(), profile);
   }
   span.Arg("results", static_cast<int64_t>(results->size()));
 }
@@ -816,37 +967,19 @@ void PprTree::IntervalQuery(const Rect2D& area, const TimeInterval& range,
                                                 : kTimeInfinity);
     if (!era.Intersects(range)) continue;
     if (roots_[e].root == kInvalidPage) continue;
-    std::vector<PageId> stack = {roots_[e].root};
-    while (!stack.empty()) {
-      const PageId id = stack.back();
-      stack.pop_back();
-      const PageRef ref = buffer->FetchPinned(id);
-      const Node* node = static_cast<const Node*>(ref.get());
-      if (profile != nullptr) {
-        profile->CountNode(node->level());
-        if (node->IsLeaf()) {
-          profile->leaf_entries_scanned += node->entries().size();
-        }
-      }
-      for (const Entry& entry : node->entries()) {
-        if (!entry.lifetime.Intersects(range)) continue;
-        if (!entry.rect.Intersects(area)) continue;
-        if (node->IsLeaf()) {
+    Walk(
+        roots_[e].root, area, buffer, profile,
+        [&range](const TimeInterval& lifetime) {
+          return lifetime.Intersects(range);
+        },
+        [results, &seen](PprDataId data) {
           // The same logical record may have physical copies in several
           // nodes (version splits) and eras; report it once.
-          if (seen.insert(entry.data).second) results->push_back(entry.data);
-        } else {
-          stack.push_back(entry.child);
-        }
-      }
-    }
+          if (seen.insert(data).second) results->push_back(data);
+        });
   }
   if (profile != nullptr) {
-    profile->candidates += results->size();
-    const IoStats after = buffer->stats();
-    profile->pages_missed += after.misses - before.misses;
-    profile->pages_hit +=
-        (after.accesses - before.accesses) - (after.misses - before.misses);
+    AddQueryTotals(before, buffer->stats(), results->size(), profile);
   }
   span.Arg("results", static_cast<int64_t>(results->size()));
 }
@@ -894,22 +1027,10 @@ size_t PprTree::SnapshotCount(const Rect2D& area, Time t,
   --it;
   if (it->root == kInvalidPage) return 0;
   size_t count = 0;
-  std::vector<PageId> stack = {it->root};
-  while (!stack.empty()) {
-    const PageId id = stack.back();
-    stack.pop_back();
-    const PageRef ref = buffer->FetchPinned(id);
-    const Node* node = static_cast<const Node*>(ref.get());
-    for (const Entry& entry : node->entries()) {
-      if (!entry.lifetime.Contains(t)) continue;
-      if (!entry.rect.Intersects(area)) continue;
-      if (node->IsLeaf()) {
-        ++count;
-      } else {
-        stack.push_back(entry.child);
-      }
-    }
-  }
+  Walk(
+      it->root, area, buffer, nullptr,
+      [t](const TimeInterval& lifetime) { return lifetime.Contains(t); },
+      [&count](PprDataId) { ++count; });
   return count;
 }
 
@@ -1061,10 +1182,10 @@ Status PprTree::InstallCheckpointNode(PageId id, const uint8_t* page) {
   STINDEX_CHECK_MSG(backend_ == nullptr,
                     "checkpoint restore into an attached tree");
   STINDEX_CHECK(store_.AllocatedCount() == id);
-  const NodeCodec codec(config_.max_entries);
-  Result<std::unique_ptr<Page>> decoded = codec.Decode(page, id);
+  Result<std::unique_ptr<Node>> decoded =
+      NodeCodec(config_.max_entries).DecodeNode(page, id);
   if (!decoded.ok()) return decoded.status();
-  auto node = std::unique_ptr<Node>(static_cast<Node*>(decoded.value().release()));
+  std::unique_ptr<Node> node = std::move(decoded).value();
   for (const Entry& entry : node->entries()) {
     if (entry.IsAlive()) {
       if (node->IsLeaf()) {

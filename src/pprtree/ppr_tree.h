@@ -105,9 +105,10 @@ class PprTree {
   // frames (0 = the configured default) are shared by every worker.
   // Workers query through per-worker SharedBufferPool::Sessions; a
   // Session with protocol_pages = `pages` counts the paper's per-query
-  // misses. After AttachBackend/PackSnapshot the pool reads (and
-  // decodes) real pages from the backend; before, it fronts the
-  // in-memory store.
+  // misses. After AttachBackend/PackSnapshot the pool reads real pages
+  // from the backend and verifies each on its miss, then reads the node
+  // in place (no decode onto the heap); before, it fronts the in-memory
+  // store.
   std::unique_ptr<SharedBufferPool> NewSharedQueryPool(size_t pages = 0) const;
 
   // Encodes every node and writes it to `backend` (one page write per

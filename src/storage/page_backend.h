@@ -15,8 +15,8 @@ namespace stindex {
 // A raw store of fixed-size pages addressed by PageId. Backends know
 // nothing about node layouts — they move kPageSize byte blobs. Indexes
 // write their nodes through a PageCodec (EncodeAndWrite below); the
-// SharedBufferPool sits in front for reads, decoding pages and turning
-// cache misses into actual backend reads.
+// SharedBufferPool sits in front for reads, turning cache misses into
+// actual backend reads (or borrows) whose pages its codec verifies.
 //
 // Concurrency: concurrent Read calls are safe (the parallel query drivers
 // share one pool, whose shards read the backend concurrently);
@@ -57,11 +57,12 @@ class PageBackend {
   // Short backend name for diagnostics ("memory", "file", "fault(...)").
   virtual std::string Name() const = 0;
 
-  // Zero-copy read: a pointer to page `id`'s page_size() bytes, valid for
-  // the backend's lifetime, or nullptr if this backend cannot lend stable
-  // storage (the default). Borrowed pages are verified at open time, so
-  // callers may decode straight from the span without re-reading. Only
-  // immutable backends (the mmap snapshot) return non-null.
+  // Zero-copy read: a pointer to page `id`'s page_size() bytes, valid and
+  // unchanged for the backend's lifetime, or nullptr if this backend
+  // cannot lend stable storage (the default). Callers verify the span as
+  // they would a Read copy — the pool's codec checks the envelope on
+  // every miss — and may then read the page in place. Only immutable
+  // backends (the mmap snapshot) return non-null.
   virtual const uint8_t* BorrowPage(PageId id) const {
     (void)id;
     return nullptr;

@@ -60,8 +60,11 @@ class PageCodec {
   // programming errors: node capacities are chosen so nodes fit.
   virtual void Encode(const Page& page, uint8_t* out) const = 0;
 
-  // Rebuilds a Page from a sealed buffer. Corruption is a runtime
-  // condition: the error names the offending page id.
+  // Builds a Page from a sealed buffer after verifying its envelope.
+  // The page may read `page` in place rather than copy it: the bytes stay
+  // valid and unchanged while the returned Page lives (the buffer pool
+  // keeps them in the frame). Corruption is a runtime condition: the
+  // error names the offending page id.
   virtual Result<std::unique_ptr<Page>> Decode(const uint8_t* page,
                                                PageId id) const = 0;
 };

@@ -121,21 +121,22 @@ const Page* SharedBufferPool::Pin(PageId id, bool* missed) {
   if (store_ != nullptr) {
     frame.page = store_->Get(id);
   } else {
-    // Zero-copy path: an immutable backend (the mmap snapshot) lends its
-    // pages — decode straight from the mapping, no bounce buffer.
-    const uint8_t* borrowed = backend_->BorrowPage(id);
-    uint8_t buffer[kPageSize];
-    if (borrowed == nullptr) {
-      Status status = backend_->Read(id, buffer);
+    // The frame keeps the bytes its page is verified and decoded from:
+    // the span an immutable backend (the mmap snapshot) lends, else a
+    // buffer of the frame's own filled by one backend read.
+    const uint8_t* bytes = backend_->BorrowPage(id);
+    if (bytes == nullptr) {
+      frame.bytes = std::make_unique_for_overwrite<uint8_t[]>(kPageSize);
+      Status status = backend_->Read(id, frame.bytes.get());
       if (!status.ok()) {
         const std::string msg = "SharedBufferPool: read of page " +
                                 std::to_string(id) +
                                 " failed: " + status.ToString();
         STINDEX_CHECK_MSG(false, msg.c_str());
       }
+      bytes = frame.bytes.get();
     }
-    Result<std::unique_ptr<Page>> decoded =
-        codec_->Decode(borrowed != nullptr ? borrowed : buffer, id);
+    Result<std::unique_ptr<Page>> decoded = codec_->Decode(bytes, id);
     if (!decoded.ok()) {
       const std::string msg = "SharedBufferPool: decode of page " +
                               std::to_string(id) +

@@ -37,8 +37,12 @@ struct SharedBufferPoolOptions {
 //
 //  * Store mode fronts a PageStore of live node objects (the simulated
 //    disk); a miss touches the store, nothing is decoded.
-//  * Backend mode fronts a PageBackend through a PageCodec; a miss is an
-//    actual backend read + decode.
+//  * Backend mode fronts a PageBackend through a PageCodec. A miss keeps
+//    the sealed page bytes in the frame — the backend's borrowed span
+//    when it lends one (the mmap snapshot), else a frame-owned kPageSize
+//    buffer filled by one backend Read — and hands them to the codec,
+//    which verifies the envelope and builds the page over those bytes
+//    (the PPR-tree reads its nodes in place; other codecs copy).
 //
 // The cache never writes. Indexes persist their nodes by encoding them
 // with their codec and writing the backend directly (EncodeAndWrite).
@@ -65,9 +69,9 @@ class SharedBufferPool {
   SharedBufferPool(const PageStore* store,
                    const SharedBufferPoolOptions& options);
 
-  // Backend mode: fronts a PageBackend through a PageCodec; a miss is an
-  // actual backend read + decode. `backend` and `codec` are borrowed and
-  // must outlive the pool.
+  // Backend mode: fronts a PageBackend through a PageCodec; a miss
+  // verifies the page's sealed bytes and decodes over them (see above).
+  // `backend` and `codec` are borrowed and must outlive the pool.
   SharedBufferPool(PageBackend* backend, const PageCodec* codec,
                    const SharedBufferPoolOptions& options);
 
@@ -122,7 +126,10 @@ class SharedBufferPool {
  private:
   struct Frame {
     const Page* page = nullptr;
-    std::unique_ptr<Page> owned;  // backend mode: decoded node
+    // Backend mode, when the backend lends no span: the sealed bytes
+    // `owned` was decoded over. Declared first so it outlives `owned`.
+    std::unique_ptr<uint8_t[]> bytes;
+    std::unique_ptr<Page> owned;  // backend mode: the codec's page
     uint32_t pins = 0;
     std::list<PageId>::iterator lru;
   };

@@ -41,8 +41,8 @@ struct SnapshotLevelExtent {
 // knowing their count up front. The superblock's manifest digest (CRC-32
 // over the concatenated per-page checksums) ties the manifest to the
 // superblock; every data page is verified against its manifest entry at
-// open time. Reads are still checked: each page-cache miss decodes the
-// borrowed page through its codec, which verifies the page envelope.
+// open time. Reads are still checked: each page-cache miss hands the
+// borrowed page to its codec, which verifies the page envelope.
 class SnapshotWriter {
  public:
   // Creates a new snapshot file at `path` (truncating any existing file).
@@ -126,8 +126,8 @@ class SnapshotFile {
 
 // PageBackend over a SnapshotFile: node slot `id` is page `id`. Read-only
 // — Write/Free are FailedPrecondition. BorrowPage hands out the mapped
-// span (nullptr in fallback mode), which the buffer pools decode from
-// directly instead of bouncing through a copy.
+// span (nullptr in fallback mode), which the page cache verifies and
+// reads in place instead of copying it.
 class MmapSnapshotBackend : public PageBackend {
  public:
   // Opens the snapshot at `path`.

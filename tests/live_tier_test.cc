@@ -9,7 +9,11 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <map>
 #include <memory>
+#include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -314,6 +318,88 @@ TEST(LiveIndexTest, DecodeStateRejectsHugeRectCount) {
   ByteSource in(bytes.data(), bytes.size());
   const Status status = restored.DecodeState(&in);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+}
+
+// The sealing loop reads Watermark() after every update, so the index
+// keeps it incrementally. Over a randomized observe/end/seal schedule, with
+// a checkpoint round trip halfway, it must equal the brute-force minimum
+// first instant over the open buffers (the last observed time when none
+// is open) after every step.
+TEST(LiveIndexTest, WatermarkMatchesBruteForceMinimum) {
+  constexpr ObjectId kObjects = 40;
+  constexpr Time kInstants = 300;
+  std::mt19937 rng(20261019);
+  const auto chance = [&rng](int percent) {
+    return static_cast<int>(rng() % 100) < percent;
+  };
+  auto index = std::make_unique<LiveIndex>(LiveIndexOptions{});
+  std::map<ObjectId, Time> open;  // object -> its buffer's first instant
+  std::map<ObjectId, Time> last;  // object -> last observed instant
+  std::set<ObjectId> ended;
+  Time last_global = std::numeric_limits<Time>::min();
+  size_t checks = 0;
+  const auto expect_watermark = [&](const char* step, Time now) {
+    Time want = last_global;
+    if (!open.empty()) {
+      want = std::numeric_limits<Time>::max();
+      for (const auto& [object, start] : open) want = std::min(want, start);
+    }
+    ASSERT_EQ(index->Watermark(), want) << step << " at t=" << now;
+    ++checks;
+  };
+
+  // Ids in play; an ended object's slot goes to a fresh id.
+  std::vector<ObjectId> active(kObjects);
+  for (ObjectId i = 0; i < kObjects; ++i) active[i] = i;
+  ObjectId next_id = kObjects;
+  for (Time now = 0; now < kInstants; ++now) {
+    if (now == kInstants / 2) {
+      ByteSink sink;
+      index->EncodeState(&sink);
+      auto restored = std::make_unique<LiveIndex>(LiveIndexOptions{});
+      ByteSource in(sink.bytes().data(), sink.bytes().size());
+      ASSERT_TRUE(restored->DecodeState(&in).ok());
+      index = std::move(restored);
+      expect_watermark("restore", now);
+    }
+    for (ObjectId& object : active) {
+      const auto seen = last.find(object);
+      bool applied = false;
+      const bool stale = seen != last.end() && seen->second < now - 1;
+      // A stale object missed an instant, so it can only end, one past
+      // its last instant.
+      if (seen != last.end() && (stale ? chance(30) : chance(3))) {
+        ASSERT_TRUE(index->End(object, seen->second + 1, &applied).ok());
+        ASSERT_TRUE(applied);
+        ended.insert(object);
+        expect_watermark("end", now);
+        object = next_id++;
+        continue;
+      }
+      if (stale || !chance(seen == last.end() ? 30 : 90)) continue;
+      const Rect2D rect =
+          UnitRect(0.001 * static_cast<double>(object % 500), 0.9);
+      ASSERT_TRUE(index->Observe(object, now, rect, &applied).ok());
+      ASSERT_TRUE(applied);
+      open.emplace(object, now);
+      last[object] = now;
+      last_global = now;
+      expect_watermark("observe", now);
+    }
+    for (auto it = open.begin(); it != open.end();) {
+      const ObjectId object = it->first;
+      if (!chance(ended.count(object) != 0 ? 50 : 10)) {
+        ++it;
+        continue;
+      }
+      Result<LiveIndex::SealedChunk> chunk = index->Seal(object);
+      ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
+      ASSERT_EQ(chunk.value().start, it->second);
+      it = open.erase(it);
+      expect_watermark("seal", now);
+    }
+  }
+  EXPECT_GT(checks, 5000u);
 }
 
 TEST(MigrationPipelineTest, DecodeStateRejectsHugeSegmentCount) {

@@ -11,6 +11,7 @@
 // to the snapshot path.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -358,7 +359,9 @@ TEST(SnapshotBackendTest, LiveTierPackedMidStreamMatchesReference) {
     static int pack_counter = 0;
     for (size_t i = 0; i < stream.size(); ++i) {
       EXPECT_TRUE(tier.value()->Apply(stream[i]).ok());
-      if ((i + 1) % 64 == 0) EXPECT_TRUE(tier.value()->Commit().ok());
+      if ((i + 1) % 64 == 0) {
+        EXPECT_TRUE(tier.value()->Commit().ok());
+      }
       if (pack_at != 0 && i + 1 == pack_at) {
         EXPECT_TRUE(tier.value()
                         ->PackHistorical(SnapPath(
@@ -425,7 +428,9 @@ TEST(SnapshotBackendTest, LiveTierPackSurvivesCheckpointRecovery) {
   const size_t half = stream.size() / 2;
   for (size_t i = 0; i < half; ++i) {
     ASSERT_TRUE(tier.value()->Apply(stream[i]).ok());
-    if ((i + 1) % 32 == 0) ASSERT_TRUE(tier.value()->Commit().ok());
+    if ((i + 1) % 32 == 0) {
+      ASSERT_TRUE(tier.value()->Commit().ok());
+    }
   }
   ASSERT_TRUE(
       tier.value()->PackHistorical(SnapPath("snap_live_ckpt")).ok());
@@ -495,6 +500,30 @@ class SnapshotCorruptionTest : public ::testing::Test {
     ASSERT_NE(f, nullptr);
     ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
     std::fclose(f);
+  }
+
+  // Overwrites bytes of the file in place (same inode), so a snapshot
+  // that is already open — mapped or read with pread — sees the change.
+  static void PatchFile(const std::string& path, size_t offset,
+                        const uint8_t* data, size_t size) {
+    const int fd = ::open(path.c_str(), O_WRONLY);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::pwrite(fd, data, size, static_cast<off_t>(offset)),
+              static_cast<ssize_t>(size));
+    ::close(fd);
+  }
+
+  // Runs one interval query over all space and time through a fresh
+  // pool with a frame for every slot, so each page it reaches misses
+  // exactly once; returns the number of pages loaded.
+  static uint64_t QueryEverything(const PprTree& tree) {
+    const std::unique_ptr<SharedBufferPool> pool =
+        tree.NewSharedQueryPool(tree.backend()->SlotCount());
+    SharedBufferPool::Session session(pool.get());
+    std::vector<PprDataId> results;
+    tree.IntervalQuery(Rect2D(-1e9, -1e9, 1e9, 1e9),
+                       TimeInterval(0, kTimeInfinity), &session, &results);
+    return pool->AggregateStats().misses;
   }
 
   static Status OpenStatus(const std::string& path) {
@@ -655,6 +684,69 @@ TEST_F(SnapshotCorruptionTest, CorruptionDetectedOnPreadFallbackToo) {
   EXPECT_NE(backend.status().ToString().find("checksum mismatch on page 0"),
             std::string::npos)
       << backend.status().ToString();
+}
+
+// Open verified every page against the manifest, but the miss path
+// verifies again: a node page corrupted on disk after a successful open
+// fails the miss that loads it, naming the page — on the mapped path and
+// on the pread fallback.
+TEST_F(SnapshotCorruptionTest, CorruptionAfterOpenFailsTheMiss) {
+  for (const bool force_pread : {false, true}) {
+    SCOPED_TRACE(force_pread ? "pread fallback" : "mapped");
+    const std::vector<SegmentRecord> records = MakeRecords();
+    const std::unique_ptr<PprTree> tree = BuildPprTree(records);
+    SnapshotFile::Options options;
+    options.force_pread = force_pread;
+    const std::string path = SnapPath(force_pread ? "corrupt_after_open_pread"
+                                                  : "corrupt_after_open");
+    ASSERT_TRUE(tree->PackSnapshot(path, options).ok());
+    ASSERT_GT(tree->backend()->SlotCount(), 3u);
+    // The query reaches every slot, slot 2 included.
+    ASSERT_EQ(QueryEverything(*tree), tree->backend()->SlotCount());
+    // Flip one payload byte of node slot 2 (file page 3).
+    const size_t offset = 3 * kPageSize + kPageEnvelopeBytes + 17;
+    uint8_t byte = ReadFile(path)[offset];
+    byte ^= 0x01;
+    PatchFile(path, offset, &byte, 1);
+    EXPECT_DEATH(QueryEverything(*tree),
+                 "decode of page 2 failed.*page 2: checksum mismatch");
+  }
+}
+
+// A node page resealed with a valid checksum but an entry count that is
+// within the configured fanout and still overruns the page fails its
+// miss, naming the page: the in-place reader reads entries without
+// per-field bounds checks, so the header parse must bound the count.
+TEST_F(SnapshotCorruptionTest, ResealedOverrunningEntryCountFailsTheMiss) {
+  PprConfig config;
+  config.max_entries = 100;  // 101 entries pass the fanout check
+  PprTree tree(config);
+  for (Time t = 0; t < 10; ++t) {
+    const double lo = 0.05 * static_cast<double>(t);
+    tree.Insert(Rect2D(lo, lo, lo + 0.01, lo + 0.01), t,
+                static_cast<PprDataId>(t));
+  }
+  const std::string path = SnapPath("corrupt_overrun");
+  ASSERT_TRUE(tree.PackSnapshot(path).ok());
+  ASSERT_EQ(tree.backend()->SlotCount(), 1u);
+  ASSERT_EQ(QueryEverything(tree), 1u);  // intact: the miss verifies
+
+  // Node payload: int32 level, Time created, Time closed, then the u64
+  // entry count. 80 entries of 60 bytes need 4800 bytes; 4060 remain.
+  const std::vector<uint8_t> bytes = ReadFile(path);
+  std::vector<uint8_t> page(bytes.begin() + kPageSize,
+                            bytes.begin() + 2 * kPageSize);
+  const size_t count_off = kPageEnvelopeBytes + 4 + 8 + 8;
+  uint64_t count = 0;
+  std::memcpy(&count, page.data() + count_off, sizeof(count));
+  ASSERT_EQ(count, 10u);
+  count = 80;
+  std::memcpy(page.data() + count_off, &count, sizeof(count));
+  SealPage(page.data(), PageKind::kPprNode);
+  PatchFile(path, kPageSize, page.data(), page.size());
+  EXPECT_DEATH(QueryEverything(tree),
+               "decode of page 0 failed.*page 0: 80 PPR-tree node entries "
+               "overrun the page");
 }
 
 TEST_F(SnapshotCorruptionTest, ReadBeyondNodeCountIsOutOfRange) {
