@@ -80,7 +80,7 @@ std::unique_ptr<RStarTree> BuildRStar(const std::vector<SegmentRecord>& records,
 // pool) implements the paper's measurement protocol: reset before every
 // query, so per-query miss counts are partition-independent and the
 // aggregate equals the serial run exactly at any thread count. Page
-// bytes come from the shared pool, so with a backend attached the real
+// bytes come from the shared pool, so with a packed snapshot the real
 // read count reflects the shared capacity (reads <= protocol misses).
 // Per-worker protocol IoStats are summed into *aggregate when non-null;
 // the pool's total capacity is recorded as report param
@@ -102,12 +102,14 @@ double AverageRStarIo(const RStarTree& tree,
                       const FalseHitRefiner* refiner = nullptr,
                       QueryProfile* profile = nullptr, size_t buffer_pages = 0);
 
-// Persists `tree` through the storage backend selected by --backend/--db
-// (no-op for the default in-memory store) and records the choice as
-// report param "backend" ("store" | "memory" | "file"). After this the
-// tree's query buffers read real pages, so the io.query.* misses the
-// drivers report are actual backend reads. `tag` distinguishes the page
-// files of multiple trees in one run. Failures print and exit(1).
+// With --backend=mmap, packs `tree` into a read-only snapshot under --db
+// and serves it from there (no-op for the default in-memory store), and
+// records the choice as report param "backend" ("store" | "mmap") plus
+// "mmap_fallback" ("no" | "pread", see STINDEX_SNAPSHOT_NO_MMAP). After
+// this the tree's query buffers read real pages, so the io.query.*
+// misses the drivers report are actual page reads. `tag` distinguishes
+// the snapshot files of multiple trees in one run. Failures print and
+// exit(1).
 void AttachBenchBackend(RStarTree* tree, const BenchArgs& args,
                         const std::string& tag);
 void AttachBenchBackend(PprTree* tree, const BenchArgs& args,

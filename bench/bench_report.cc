@@ -1,5 +1,6 @@
 #include "bench_report.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -15,7 +16,12 @@ namespace stindex {
 namespace bench {
 
 BenchArgs ParseBenchArgs(int argc, char** argv, const std::string& bench_name,
-                         bool accept_backend) {
+                         const std::vector<std::string>& backends) {
+  const bool accept_backend = !backends.empty();
+  std::string backend_list;
+  for (const std::string& backend : backends) {
+    backend_list += (backend_list.empty() ? "" : "|") + backend;
+  }
   BenchArgs args;
   args.bench_name = bench_name;
   std::string threads_flag;
@@ -59,20 +65,21 @@ BenchArgs ParseBenchArgs(int argc, char** argv, const std::string& bench_name,
       std::fprintf(stderr, "%s: unknown argument '%s' (--threads=N, "
                    "--json=PATH, --trace=PATH, --buffer-pages=N%s)\n",
                    bench_name.c_str(), arg.c_str(),
-                   accept_backend ? ", --backend=memory|file|mmap, --db=DIR"
-                                  : "");
+                   accept_backend
+                       ? (", --backend=" + backend_list + ", --db=DIR").c_str()
+                       : "");
       std::exit(2);
     }
   }
-  if (!args.backend.empty() && args.backend != "memory" &&
-      args.backend != "file" && args.backend != "mmap") {
-    std::fprintf(stderr,
-                 "%s: --backend must be 'memory', 'file' or 'mmap', got '%s'\n",
-                 bench_name.c_str(), args.backend.c_str());
+  if (!args.backend.empty() &&
+      std::find(backends.begin(), backends.end(), args.backend) ==
+          backends.end()) {
+    std::fprintf(stderr, "%s: --backend must be %s, got '%s'\n",
+                 bench_name.c_str(), backend_list.c_str(),
+                 args.backend.c_str());
     std::exit(2);
   }
-  if ((args.backend == "file" || args.backend == "mmap") &&
-      args.db_path.empty()) {
+  if (!args.backend.empty() && args.db_path.empty()) {
     std::fprintf(stderr, "%s: --backend=%s requires --db=DIR\n",
                  bench_name.c_str(), args.backend.c_str());
     std::exit(2);

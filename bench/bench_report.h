@@ -50,15 +50,17 @@ namespace bench {
 //                                shared by all worker threads (0: the
 //                                tree's configured default, the paper's
 //                                10-page protocol)
-// Harnesses that can run against a real storage backend (fig15/17/18)
-// additionally accept:
-//   --backend=memory|file|mmap   persist indexes through a PageBackend and
-//                                query through it (default: the in-memory
-//                                store, no serialization). "mmap" packs
-//                                each tree into a read-only snapshot file
-//                                and serves it zero-copy.
-//   --db=DIR                     directory for the page/snapshot files
-//                                (required for --backend=file|mmap)
+// Harnesses that can run against real disk pages (fig15/17/18,
+// bench_ablation_packing, stindex_server) additionally accept:
+//   --backend=mmap               pack each tree into a read-only snapshot
+//                                file and serve it zero-copy (default: the
+//                                in-memory store, no serialization); set
+//                                STINDEX_SNAPSHOT_NO_MMAP=1 to serve the
+//                                snapshot through pread instead
+//   --db=DIR                     directory for the snapshot files
+//                                (required with --backend)
+// stindex_server also takes --backend=file for its mixed and soak modes
+// (the WAL on a page file under --db).
 // Unknown arguments and invalid thread counts print a message and
 // exit(2); thread resolution shares util/threads.h with stindex_cli.
 struct BenchArgs {
@@ -66,14 +68,16 @@ struct BenchArgs {
   int threads = 1;
   std::string json_path;   // empty: no report file
   std::string trace_path;  // empty: no Chrome trace capture
-  std::string backend;     // "", "memory", "file" or "mmap"
-  std::string db_path;     // --backend=file|mmap: directory for page files
+  std::string backend;     // "" or one of the harness's `backends`
+  std::string db_path;     // with --backend: directory for the files
   size_t buffer_pages = 0;  // total pool pages across all threads; 0 =
                             // the tree's configured default
 };
 
+// `backends` lists the --backend values the harness accepts; empty
+// rejects --backend and --db altogether.
 BenchArgs ParseBenchArgs(int argc, char** argv, const std::string& bench_name,
-                         bool accept_backend = false);
+                         const std::vector<std::string>& backends = {});
 
 // Accumulates the report body for the current process.
 class BenchReport {

@@ -6,6 +6,11 @@
 // standard schema-v2 JSON report; `--prom=PATH` additionally dumps the
 // metric registry in Prometheus text format for scraping.
 //
+// --backend=mmap packs the tree into a read-only snapshot under --db and
+// replays against it (set STINDEX_SNAPSHOT_NO_MMAP=1 to read it through
+// pread); in the mixed and soak modes below --backend=file puts the WAL
+// on a page file instead.
+//
 // Extra flags on top of the shared bench surface (bench_report.h):
 //   --stream=N        total requests replayed across all clients
 //                     (default: 20x the scale's query_count)
@@ -265,6 +270,41 @@ std::vector<STQuery> MakeRequestStream(size_t total) {
   return stream;
 }
 
+// Opens the live tier both update-carrying modes run against: the WAL
+// goes on a page file under --db with --backend=file and in memory
+// otherwise. Exits on failure.
+std::unique_ptr<LiveTier> OpenServerTier(const BenchArgs& args,
+                                         const ServerFlags& flags) {
+  std::unique_ptr<PageBackend> wal;
+  if (args.backend == "file") {
+    Result<std::unique_ptr<FilePageBackend>> file =
+        FilePageBackend::Create(args.db_path + "/stindex_server_wal.stpages");
+    if (!file.ok()) {
+      std::fprintf(stderr, "stindex_server: %s\n",
+                   file.status().ToString().c_str());
+      std::exit(1);
+    }
+    wal = std::move(file).value();
+  } else {
+    wal = std::make_unique<MemoryPageBackend>();
+  }
+
+  LiveTierOptions options;
+  options.index.capacity = 32;  // seal eagerly so migration runs mid-bench
+  options.query_pool_pages = args.buffer_pages;
+  options.group_commit = flags.group_commit;
+  options.commit_interval_us = flags.commit_interval_us;
+  options.checkpoint_every_pages = flags.checkpoint_every;
+  Result<std::unique_ptr<LiveTier>> opened =
+      LiveTier::Open(options, std::move(wal));
+  if (!opened.ok()) {
+    std::fprintf(stderr, "stindex_server: %s\n",
+                 opened.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(opened).value();
+}
+
 // --- mixed update/query mode (--update-frac > 0) -------------------------
 //
 // Request i is an update when the Bresenham accumulator crosses an
@@ -295,34 +335,8 @@ void RunMixed(const BenchArgs& args, const ServerFlags& flags) {
   const std::vector<LiveObservation> updates = MakeObservationStream(objects);
   const std::vector<STQuery> queries = MakeRequestStream(stream_size);
 
-  std::unique_ptr<PageBackend> wal;
-  if (args.backend == "file") {
-    Result<std::unique_ptr<FilePageBackend>> file =
-        FilePageBackend::Create(args.db_path + "/stindex_server_wal.stpages");
-    if (!file.ok()) {
-      std::fprintf(stderr, "stindex_server: %s\n",
-                   file.status().ToString().c_str());
-      std::exit(1);
-    }
-    wal = std::move(file).value();
-  } else {
-    wal = std::make_unique<MemoryPageBackend>();
-  }
-
-  LiveTierOptions options;
-  options.index.capacity = 32;  // seal eagerly so migration runs mid-bench
-  options.query_pool_pages = args.buffer_pages;
-  options.group_commit = flags.group_commit;
-  options.commit_interval_us = flags.commit_interval_us;
-  options.checkpoint_every_pages = flags.checkpoint_every;
-  Result<std::unique_ptr<LiveTier>> opened =
-      LiveTier::Open(options, std::move(wal));
-  if (!opened.ok()) {
-    std::fprintf(stderr, "stindex_server: %s\n",
-                 opened.status().ToString().c_str());
-    std::exit(1);
-  }
-  LiveTier* tier = opened.value().get();
+  const std::unique_ptr<LiveTier> opened = OpenServerTier(args, flags);
+  LiveTier* tier = opened.get();
 
   Report().SetParam("objects", static_cast<int64_t>(n));
   Report().SetParam("clients", static_cast<int64_t>(args.threads));
@@ -503,6 +517,13 @@ void RunMixed(const BenchArgs& args, const ServerFlags& flags) {
 }
 
 void Run(const BenchArgs& args, const ServerFlags& flags) {
+  if (args.backend == "file") {
+    std::fprintf(stderr,
+                 "stindex_server: --backend=file names the WAL of the mixed "
+                 "and soak modes; read-only replay serves disk pages with "
+                 "--backend=mmap\n");
+    std::exit(2);
+  }
   const BenchScale scale = GetScale();
   const size_t n = scale.dataset_sizes.front();
   const size_t stream_size =
@@ -637,34 +658,8 @@ void RunSoak(const BenchArgs& args, ServerFlags flags) {
   const std::vector<STQuery> queries =
       MakeRequestStream(scale.query_count * 4);
 
-  std::unique_ptr<PageBackend> wal;
-  if (args.backend == "file") {
-    Result<std::unique_ptr<FilePageBackend>> file =
-        FilePageBackend::Create(args.db_path + "/stindex_server_wal.stpages");
-    if (!file.ok()) {
-      std::fprintf(stderr, "stindex_server: %s\n",
-                   file.status().ToString().c_str());
-      std::exit(1);
-    }
-    wal = std::move(file).value();
-  } else {
-    wal = std::make_unique<MemoryPageBackend>();
-  }
-
-  LiveTierOptions options;
-  options.index.capacity = 32;
-  options.query_pool_pages = args.buffer_pages;
-  options.group_commit = flags.group_commit;
-  options.commit_interval_us = flags.commit_interval_us;
-  options.checkpoint_every_pages = flags.checkpoint_every;
-  Result<std::unique_ptr<LiveTier>> opened =
-      LiveTier::Open(options, std::move(wal));
-  if (!opened.ok()) {
-    std::fprintf(stderr, "stindex_server: %s\n",
-                 opened.status().ToString().c_str());
-    std::exit(1);
-  }
-  LiveTier* tier = opened.value().get();
+  const std::unique_ptr<LiveTier> opened = OpenServerTier(args, flags);
+  LiveTier* tier = opened.get();
 
   SlowQueryLog slow_log(
       flags.slow_query_ms >= 0.0 ? flags.slow_query_ms : 0.0);
@@ -934,7 +929,7 @@ int main(int argc, char** argv) {
   stindex::bench::ServerFlags flags =
       stindex::bench::ExtractServerFlags(&argc, argv);
   const stindex::bench::BenchArgs args = stindex::bench::ParseBenchArgs(
-      argc, argv, "stindex_server", /*accept_backend=*/true);
+      argc, argv, "stindex_server", /*backends=*/{"mmap", "file"});
   if (flags.soak) {
     stindex::bench::RunSoak(args, flags);
   } else if (flags.update_frac > 0.0) {

@@ -72,13 +72,14 @@ SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 
 # Server-driver smoke: replay a short mixed stream from 4 client threads
-# against one shared sharded pool over a real page file; the report must
-# validate and prove actual disk reads (backend.file.reads > 0).
+# against one shared sharded pool over a packed snapshot read through
+# pread (no mapping); the report must validate and prove actual disk
+# reads (backend.mmap.reads > 0).
 SERVER="$BUILD_DIR/bench/stindex_server"
 if [ -x "$SERVER" ]; then
   echo "== stindex_server shared-pool smoke =="
-  "$SERVER" --threads=4 --stream=400 --buffer-pages=32 \
-    --backend=file --db="$SMOKE_DIR" \
+  STINDEX_SNAPSHOT_NO_MMAP=1 "$SERVER" --threads=4 --stream=400 \
+    --buffer-pages=32 --backend=mmap --db="$SMOKE_DIR" \
     --json="$OUT_DIR/stindex_server.json" \
     --prom="$OUT_DIR/stindex_server.prom" \
     | tee "$OUT_DIR/stindex_server.txt"
@@ -88,14 +89,15 @@ import json, sys
 with open(sys.argv[1], "r", encoding="utf-8") as f:
     report = json.load(f)
 counters = report["metrics"]["counters"]
-reads = counters.get("backend.file.reads", 0)
-assert reads > 0, f"expected file-backend reads, got {counters}"
+reads = counters.get("backend.mmap.reads", 0)
+assert reads > 0, f"expected snapshot pread reads, got {counters}"
+assert report["params"]["mmap_fallback"] == "pread", report["params"]
 series = {s["name"] for s in report["series"]}
 for required in ("qps", "latency_p50_ms", "latency_p95_ms",
                  "latency_p99_ms"):
     assert required in series, f"report missing series '{required}'"
 assert report["params"]["effective_buffer_pages"] == 32, report["params"]
-print(f"stindex_server smoke OK: {reads} file reads, "
+print(f"stindex_server smoke OK: {reads} pread reads, "
       f"{report['latency_ms']['count']} latencies")
 EOF
 else
@@ -214,19 +216,21 @@ print(f"soak smoke OK: {params['soak_queries']} queries, "
 EOF
 fi
 
-# File-backend smoke: run the CLI pipeline against a real page file in a
-# scratch directory and check the metrics dump proves actual disk reads
-# (backend.file.reads > 0) rather than the simulated store.
+# Disk-read smoke: run the CLI pipeline against a packed snapshot read
+# through pread (no mapping) in a scratch directory and check the metrics
+# dump proves actual disk reads (backend.mmap.reads > 0) rather than the
+# simulated store.
 CLI="$BUILD_DIR/tools/stindex_cli"
 if [ -x "$CLI" ]; then
-  echo "== stindex_cli --backend file smoke =="
+  echo "== stindex_cli --backend mmap (pread) smoke =="
   "$CLI" generate --family random --n 500 --out "$SMOKE_DIR/objects.csv"
   "$CLI" split --in "$SMOKE_DIR/objects.csv" --out "$SMOKE_DIR/segments.csv" \
     --budget-percent 100
   "$CLI" queries --set small --count 50 --out "$SMOKE_DIR/queries.csv"
-  "$CLI" query --segments "$SMOKE_DIR/segments.csv" \
+  STINDEX_SNAPSHOT_NO_MMAP=1 "$CLI" query \
+    --segments "$SMOKE_DIR/segments.csv" \
     --queries "$SMOKE_DIR/queries.csv" --index ppr \
-    --backend file --db "$SMOKE_DIR" --stats "$SMOKE_DIR/metrics.json" \
+    --backend mmap --db "$SMOKE_DIR" --stats "$SMOKE_DIR/metrics.json" \
     --explain --objects "$SMOKE_DIR/objects.csv" \
     --trace "$SMOKE_DIR/query.trace.json"
   python3 "$(dirname "$0")/validate_trace.py" "$SMOKE_DIR/query.trace.json"
@@ -234,14 +238,16 @@ if [ -x "$CLI" ]; then
 import json, sys
 with open(sys.argv[1], "r", encoding="utf-8") as f:
     counters = json.load(f)["counters"]
-reads = counters.get("backend.file.reads", 0)
-writes = counters.get("backend.file.writes", 0)
-assert reads > 0, f"expected file-backend reads, got {counters}"
-assert writes > 0, f"expected file-backend writes, got {counters}"
-print(f"file backend smoke OK: {reads} reads, {writes} writes")
+reads = counters.get("backend.mmap.reads", 0)
+packed = counters.get("backend.mmap.packed_pages", 0)
+fallbacks = counters.get("backend.mmap.fallback_opens", 0)
+assert reads > 0, f"expected snapshot pread reads, got {counters}"
+assert packed > 0, f"expected packed snapshot pages, got {counters}"
+assert fallbacks > 0, f"expected a pread-fallback open, got {counters}"
+print(f"pread snapshot smoke OK: {reads} reads, {packed} packed pages")
 EOF
 else
-  echo "warning: $CLI not built, skipping file-backend smoke" >&2
+  echo "warning: $CLI not built, skipping disk-read smoke" >&2
 fi
 
 # Zero-copy snapshot smoke: ingest a stream into a live-tier WAL, pack it

@@ -373,91 +373,38 @@ void PprTree::OpenSerialCache() {
                                                          config_.buffer_pages);
 }
 
-Status PprTree::PersistAllNodes() {
-  for (PageId id = 0; id < store_.AllocatedCount(); ++id) {
-    if (!store_.IsLive(id)) continue;
-    Status status = EncodeAndWrite(*codec_, *GetNode(id), id, backend_.get());
-    if (!status.ok()) return status;
-  }
-  return Status::OK();
-}
-
-Status PprTree::AttachBackend(std::unique_ptr<PageBackend> backend) {
-  STINDEX_CHECK_MSG(backend_ == nullptr, "backend already attached");
-  STINDEX_CHECK(backend != nullptr);
-  TraceSpan span("ppr", "attach_backend");
-  span.Arg("pages", static_cast<int64_t>(store_.PageCount()));
-  backend_ = std::move(backend);
-  codec_ = std::make_unique<NodeCodec>(config_.max_entries);
-  Status status = PersistAllNodes();
-  if (status.ok()) status = backend_->Sync();
-  if (!status.ok()) {
-    codec_.reset();
-    backend_.reset();
-    return status;
-  }
-  OpenSerialCache();
-  return Status::OK();
-}
-
 Status PprTree::PackSnapshot(const std::string& path,
                              const SnapshotFile::Options& options) {
   STINDEX_CHECK_MSG(backend_ == nullptr, "backend already attached");
   TraceSpan span("ppr", "pack_snapshot");
   span.Arg("pages", static_cast<int64_t>(store_.PageCount()));
-  const size_t count = store_.AllocatedCount();
-  // The PPR-tree never frees nodes, so ids are dense already; the packed
-  // order sorts them bottom-up (level, then id) so every level occupies
-  // one contiguous extent of the snapshot.
-  std::vector<PageId> order(count);
-  for (PageId id = 0; id < count; ++id) order[id] = id;
-  std::stable_sort(order.begin(), order.end(), [this](PageId a, PageId b) {
-    return GetNode(a)->level() < GetNode(b)->level();
-  });
-  std::vector<PageId> remap(count, kInvalidPage);
-  for (size_t slot = 0; slot < order.size(); ++slot) {
-    remap[order[slot]] = static_cast<PageId>(slot);
-  }
-  // Rewrite the whole in-memory graph through the bijection first, so the
-  // tree stays consistent (and still queryable from the store) even if
-  // writing the snapshot fails below.
-  for (PageId id = 0; id < count; ++id) {
-    Node* node = GetNode(id);
-    if (node->IsLeaf()) continue;
-    for (Entry& entry : node->entries()) {
-      if (entry.child != kInvalidPage) entry.child = remap[entry.child];
-    }
-  }
-  for (RootEra& era : roots_) {
-    if (era.root != kInvalidPage) era.root = remap[era.root];
-  }
-  for (auto& [data, leaf] : alive_location_) leaf = remap[leaf];
-  std::unordered_map<PageId, PageId> parents;
-  parents.reserve(parent_of_.size());
-  for (const auto& [child, parent] : parent_of_) {
-    parents[remap[child]] = remap[parent];
-  }
-  parent_of_ = std::move(parents);
-  store_.Reindex(remap);
-
-  Result<std::unique_ptr<SnapshotWriter>> writer = SnapshotWriter::Create(path);
-  if (!writer.ok()) return writer.status();
-  const NodeCodec codec(config_.max_entries);
-  uint8_t page[kPageSize];
-  for (PageId slot = 0; slot < count; ++slot) {
-    const Node* node = GetNode(slot);
-    codec.Encode(*node, page);
-    Status status =
-        writer.value()->Append(static_cast<uint32_t>(node->level()), page);
-    if (!status.ok()) return status;
-  }
-  Status status = writer.value()->Finish();
-  if (!status.ok()) return status;
-  Result<std::unique_ptr<MmapSnapshotBackend>> backend =
-      MmapSnapshotBackend::Open(path, options);
+  auto codec = std::make_unique<NodeCodec>(config_.max_entries);
+  Result<std::unique_ptr<MmapSnapshotBackend>> backend = PackStoreSnapshot(
+      &store_, *codec,
+      [](const Page& page) { return static_cast<const Node&>(page).level(); },
+      [this](const std::vector<PageId>& remap) {
+        for (PageId id = 0; id < store_.AllocatedCount(); ++id) {
+          Node* node = GetNode(id);
+          if (node->IsLeaf()) continue;
+          for (Entry& entry : node->entries()) {
+            if (entry.child != kInvalidPage) entry.child = remap[entry.child];
+          }
+        }
+        for (RootEra& era : roots_) {
+          if (era.root != kInvalidPage) era.root = remap[era.root];
+        }
+        for (auto& [data, leaf] : alive_location_) leaf = remap[leaf];
+        std::unordered_map<PageId, PageId> parents;
+        parents.reserve(parent_of_.size());
+        for (const auto& [child, parent] : parent_of_) {
+          parents[remap[child]] = remap[parent];
+        }
+        parent_of_ = std::move(parents);
+      },
+      path, options);
   if (!backend.ok()) return backend.status();
   backend_ = std::move(backend).value();
-  codec_ = std::make_unique<NodeCodec>(config_.max_entries);
+  codec_ = std::move(codec);
   OpenSerialCache();
   return Status::OK();
 }
@@ -569,7 +516,7 @@ void PprTree::ExpandPathRects(const std::vector<Frame>& path,
 
 void PprTree::Insert(const Rect2D& rect, Time t, PprDataId data) {
   STINDEX_CHECK_MSG(backend_ == nullptr,
-                    "PprTree is frozen after AttachBackend");
+                    "PprTree is frozen after PackSnapshot");
   STINDEX_CHECK_MSG(rect.IsValid(), "inserting an invalid rect");
   STINDEX_CHECK_MSG(t >= current_time_, "updates must be fed in time order");
   STINDEX_CHECK_MSG(alive_location_.find(data) == alive_location_.end(),
@@ -601,7 +548,7 @@ void PprTree::Insert(const Rect2D& rect, Time t, PprDataId data) {
 
 void PprTree::Delete(PprDataId data, Time t) {
   STINDEX_CHECK_MSG(backend_ == nullptr,
-                    "PprTree is frozen after AttachBackend");
+                    "PprTree is frozen after PackSnapshot");
   STINDEX_CHECK_MSG(t >= current_time_, "updates must be fed in time order");
   current_time_ = t;
   auto it = alive_location_.find(data);
@@ -1166,8 +1113,8 @@ Status PprTree::DecodeCheckpointMeta(ByteSource* in) {
 Status PprTree::PersistNodesForCheckpoint(
     PageBackend* backend, const std::vector<PageId>& slots) const {
   // Works for live trees and for frozen packed layers alike: the store
-  // keeps every node in memory even after PackSnapshot attaches a
-  // read-only backend, and ids stay contiguous 0..NodeCount()-1.
+  // keeps every node in memory even after PackSnapshot opens its
+  // snapshot, and ids stay contiguous 0..NodeCount()-1.
   STINDEX_CHECK(slots.size() == store_.AllocatedCount());
   const NodeCodec codec(config_.max_entries);
   for (PageId id = 0; id < store_.AllocatedCount(); ++id) {
@@ -1180,7 +1127,7 @@ Status PprTree::PersistNodesForCheckpoint(
 
 Status PprTree::InstallCheckpointNode(PageId id, const uint8_t* page) {
   STINDEX_CHECK_MSG(backend_ == nullptr,
-                    "checkpoint restore into an attached tree");
+                    "checkpoint restore into a packed tree");
   STINDEX_CHECK(store_.AllocatedCount() == id);
   Result<std::unique_ptr<Node>> decoded =
       NodeCodec(config_.max_entries).DecodeNode(page, id);

@@ -105,33 +105,26 @@ class PprTree {
   // frames (0 = the configured default) are shared by every worker.
   // Workers query through per-worker SharedBufferPool::Sessions; a
   // Session with protocol_pages = `pages` counts the paper's per-query
-  // misses. After AttachBackend/PackSnapshot the pool reads real pages
-  // from the backend and verifies each on its miss, then reads the node
-  // in place (no decode onto the heap); before, it fronts the in-memory
-  // store.
+  // misses. After PackSnapshot the pool reads real pages from the
+  // snapshot and verifies each on its miss, then reads the node in place
+  // (no decode onto the heap); before, it fronts the in-memory store.
   std::unique_ptr<SharedBufferPool> NewSharedQueryPool(size_t pages = 0) const;
-
-  // Encodes every node and writes it to `backend` (one page write per
-  // node), then serves all subsequent queries from the backend: buffer
-  // misses become actual backend reads. The tree is frozen afterwards —
-  // Insert/Delete become checked errors. Page ids are preserved, so
-  // query I/O counts are identical to the in-memory tree's. A write
-  // failure is returned naming the page, and the tree stays in memory.
-  Status AttachBackend(std::unique_ptr<PageBackend> backend);
 
   // Packs the structure into a read-only snapshot file at `path` and
   // serves all subsequent queries from its mmap'd pages (zero-copy;
-  // pread fallback per `options`). Node ids are remapped to a dense
-  // bottom-up layout — all leaves first, then each directory level in
-  // one contiguous extent. The remap is a bijection of the page-id
-  // access sequence, so per-query LRU miss counts are byte-identical to
-  // the unpacked tree's. The tree is frozen afterwards, like
-  // AttachBackend.
+  // pread fallback per `options`), so buffer misses become actual page
+  // reads. Node ids are remapped to a dense bottom-up layout — all
+  // leaves first, then each directory level in one contiguous extent.
+  // The remap is a bijection of the page-id access sequence, so
+  // per-query LRU miss counts are byte-identical to the unpacked tree's.
+  // The tree is frozen afterwards — Insert/Delete become checked errors.
+  // A failure (say, an unwritable path) is returned and the tree stays
+  // whole in memory, unfrozen; a later pack may succeed.
   Status PackSnapshot(const std::string& path,
                       const SnapshotFile::Options& options = {});
 
-  // Nullptr until AttachBackend/PackSnapshot succeeds.
-  const PageBackend* backend() const { return backend_.get(); }
+  // The snapshot serving this tree; nullptr until PackSnapshot succeeds.
+  const MmapSnapshotBackend* backend() const { return backend_.get(); }
 
   // COUNT(*) of a snapshot query, without materializing ids — the
   // aggregation a monitoring dashboard runs per tick.
@@ -175,7 +168,7 @@ class PprTree {
   std::vector<AliveNodeSummary> CollectAliveSummaries(Time t) const;
 
   // --- live-tier checkpoint hooks ---------------------------------------
-  // A live tree (before AttachBackend) round-trips through checkpoint
+  // A live tree (before PackSnapshot) round-trips through checkpoint
   // metadata plus one sealed kPprNode page per node: node ids are
   // contiguous 0..NodeCount()-1 (the tree never frees a node), the page
   // encoding is position-independent, and the meta carries the root
@@ -191,9 +184,8 @@ class PprTree {
 
   // Writes node i to backend slot `slots[i]` (slots.size() must be
   // NodeCount()), encoding each node and writing it directly — one page
-  // write per node, in ascending node order, the same path AttachBackend
-  // persists through. A write failure is returned naming the slot. Does
-  // not sync.
+  // write per node, in ascending node order (EncodeAndWrite). A write
+  // failure is returned naming the slot. Does not sync.
   Status PersistNodesForCheckpoint(PageBackend* backend,
                                    const std::vector<PageId>& slots) const;
 
@@ -211,11 +203,8 @@ class PprTree {
 
   Node* GetNode(PageId id) const;
 
-  // Writes every live node to backend_ at its own id.
-  Status PersistAllNodes();
-
   // Points the serial query overloads at a fresh NewSharedQueryPool (over
-  // the backend once one is attached) and a protocol Session on it.
+  // the snapshot once packed) and a protocol Session on it.
   void OpenSerialCache();
 
   size_t WeakMin() const;    // D
@@ -267,8 +256,8 @@ class PprTree {
   PprConfig config_;
   mutable PageStore store_;
   // Destroyed bottom-up: the session before the pool it views, the pool
-  // before the backend and codec it borrows.
-  std::unique_ptr<PageBackend> backend_;
+  // before the snapshot and codec it borrows.
+  std::unique_ptr<MmapSnapshotBackend> backend_;
   std::unique_ptr<PageCodec> codec_;
   std::unique_ptr<SharedBufferPool> pool_;
   std::unique_ptr<SharedBufferPool::Session> session_;

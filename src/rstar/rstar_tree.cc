@@ -142,83 +142,30 @@ void RStarTree::OpenSerialCache() {
                                                          config_.buffer_pages);
 }
 
-Status RStarTree::PersistAllNodes() {
-  for (PageId id = 0; id < store_.AllocatedCount(); ++id) {
-    if (!store_.IsLive(id)) continue;
-    Status status = EncodeAndWrite(*codec_, *GetNode(id), id, backend_.get());
-    if (!status.ok()) return status;
-  }
-  return Status::OK();
-}
-
-Status RStarTree::AttachBackend(std::unique_ptr<PageBackend> backend) {
-  STINDEX_CHECK_MSG(backend_ == nullptr, "backend already attached");
-  STINDEX_CHECK(backend != nullptr);
-  TraceSpan span("rstar", "attach_backend");
-  span.Arg("pages", static_cast<int64_t>(store_.PageCount()));
-  backend_ = std::move(backend);
-  codec_ = std::make_unique<NodeCodec>(config_.max_entries);
-  Status status = PersistAllNodes();
-  if (status.ok()) status = backend_->Sync();
-  if (!status.ok()) {
-    codec_.reset();
-    backend_.reset();
-    return status;
-  }
-  OpenSerialCache();
-  return Status::OK();
-}
-
 Status RStarTree::PackSnapshot(const std::string& path,
                                const SnapshotFile::Options& options) {
   STINDEX_CHECK_MSG(backend_ == nullptr, "backend already attached");
   TraceSpan span("rstar", "pack_snapshot");
   span.Arg("pages", static_cast<int64_t>(store_.PageCount()));
   // Deletes can leave freed holes in the id space; packing keeps only the
-  // live nodes, sorted bottom-up (level, then id) so every level occupies
-  // one contiguous extent of the snapshot.
-  std::vector<PageId> order;
-  order.reserve(store_.PageCount());
-  for (PageId id = 0; id < store_.AllocatedCount(); ++id) {
-    if (store_.IsLive(id)) order.push_back(id);
-  }
-  std::stable_sort(order.begin(), order.end(), [this](PageId a, PageId b) {
-    return GetNode(a)->level() < GetNode(b)->level();
-  });
-  std::vector<PageId> remap(store_.AllocatedCount(), kInvalidPage);
-  for (size_t slot = 0; slot < order.size(); ++slot) {
-    remap[order[slot]] = static_cast<PageId>(slot);
-  }
-  // Rewrite the whole in-memory graph through the bijection first, so the
-  // tree stays consistent (and still queryable from the store) even if
-  // writing the snapshot fails below.
-  for (PageId old_id : order) {
-    Node* node = GetNode(old_id);
-    if (node->IsLeaf()) continue;
-    for (Node::Entry& entry : node->entries()) entry.child = remap[entry.child];
-  }
-  if (root_ != kInvalidPage) root_ = remap[root_];
-  store_.Reindex(remap);
-
-  const size_t count = order.size();
-  Result<std::unique_ptr<SnapshotWriter>> writer = SnapshotWriter::Create(path);
-  if (!writer.ok()) return writer.status();
-  const NodeCodec codec(config_.max_entries);
-  uint8_t page[kPageSize];
-  for (PageId slot = 0; slot < count; ++slot) {
-    const Node* node = GetNode(slot);
-    codec.Encode(*node, page);
-    Status status =
-        writer.value()->Append(static_cast<uint32_t>(node->level()), page);
-    if (!status.ok()) return status;
-  }
-  Status status = writer.value()->Finish();
-  if (!status.ok()) return status;
-  Result<std::unique_ptr<MmapSnapshotBackend>> backend =
-      MmapSnapshotBackend::Open(path, options);
+  // live nodes.
+  auto codec = std::make_unique<NodeCodec>(config_.max_entries);
+  Result<std::unique_ptr<MmapSnapshotBackend>> backend = PackStoreSnapshot(
+      &store_, *codec,
+      [](const Page& page) { return static_cast<const Node&>(page).level(); },
+      [this](const std::vector<PageId>& remap) {
+        for (PageId id = 0; id < store_.AllocatedCount(); ++id) {
+          if (!store_.IsLive(id) || GetNode(id)->IsLeaf()) continue;
+          for (Node::Entry& entry : GetNode(id)->entries()) {
+            entry.child = remap[entry.child];
+          }
+        }
+        if (root_ != kInvalidPage) root_ = remap[root_];
+      },
+      path, options);
   if (!backend.ok()) return backend.status();
   backend_ = std::move(backend).value();
-  codec_ = std::make_unique<NodeCodec>(config_.max_entries);
+  codec_ = std::move(codec);
   OpenSerialCache();
   return Status::OK();
 }
@@ -374,7 +321,7 @@ std::unique_ptr<RStarTree> RStarTree::BulkLoad(
 
 void RStarTree::Insert(const Box3D& box, DataId data) {
   STINDEX_CHECK_MSG(backend_ == nullptr,
-                    "RStarTree is frozen after AttachBackend");
+                    "RStarTree is frozen after PackSnapshot");
   STINDEX_CHECK_MSG(box.IsValid(), "inserting an invalid box");
   if (root_ == kInvalidPage) {
     root_ = store_.Allocate(std::make_unique<Node>(0));
@@ -859,7 +806,7 @@ double MinDistance2(const double point[3], const Box3D& box) {
 
 bool RStarTree::Delete(const Box3D& box, DataId data) {
   STINDEX_CHECK_MSG(backend_ == nullptr,
-                    "RStarTree is frozen after AttachBackend");
+                    "RStarTree is frozen after PackSnapshot");
   if (root_ == kInvalidPage) return false;
 
   // DFS for the leaf holding (box, data); directory MBRs are exact, so

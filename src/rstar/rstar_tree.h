@@ -7,7 +7,6 @@
 
 #include "geometry/box.h"
 #include "storage/buffer_pool.h"
-#include "storage/page_backend.h"
 #include "storage/page_store.h"
 #include "storage/shared_buffer_pool.h"
 #include "storage/snapshot_file.h"
@@ -113,33 +112,26 @@ class RStarTree {
   // frames (0 = the configured default) are shared by every worker.
   // Workers query through per-worker SharedBufferPool::Sessions; a
   // Session with protocol_pages = `pages` counts the paper's per-query
-  // misses. After AttachBackend/PackSnapshot the pool reads (and
-  // decodes) real pages from the backend; before, it fronts the
-  // in-memory store.
+  // misses. After PackSnapshot the pool reads (and decodes) real pages
+  // from the snapshot; before, it fronts the in-memory store.
   std::unique_ptr<SharedBufferPool> NewSharedQueryPool(size_t pages = 0) const;
-
-  // Encodes every live node and writes it to `backend` (one page write
-  // per node), then serves all subsequent queries from the backend:
-  // buffer misses become actual backend reads. The tree is frozen
-  // afterwards — Insert/Delete become checked errors. Page ids are
-  // preserved, so query I/O counts are identical to the in-memory
-  // tree's. A write failure is returned naming the page, and the tree
-  // stays in memory.
-  Status AttachBackend(std::unique_ptr<PageBackend> backend);
 
   // Packs the live nodes into a read-only snapshot file at `path` and
   // serves all subsequent queries from its mmap'd pages (zero-copy;
-  // pread fallback per `options`). Live ids (sparse after deletes) are
-  // remapped to a dense bottom-up layout — leaves first, then each
-  // directory level in one contiguous extent. The remap is a bijection
-  // of the page-id access sequence, so per-query LRU miss counts are
-  // byte-identical to the unpacked tree's. The tree is frozen
-  // afterwards, like AttachBackend.
+  // pread fallback per `options`), so buffer misses become actual page
+  // reads. Live ids (sparse after deletes) are remapped to a dense
+  // bottom-up layout — leaves first, then each directory level in one
+  // contiguous extent. The remap is a bijection of the page-id access
+  // sequence, so per-query LRU miss counts are byte-identical to the
+  // unpacked tree's. The tree is frozen afterwards — Insert/Delete
+  // become checked errors. A failure (say, an unwritable path) is
+  // returned and the tree stays whole in memory, unfrozen; a later pack
+  // may succeed.
   Status PackSnapshot(const std::string& path,
                       const SnapshotFile::Options& options = {});
 
-  // Nullptr until AttachBackend/PackSnapshot succeeds.
-  const PageBackend* backend() const { return backend_.get(); }
+  // The snapshot serving this tree; nullptr until PackSnapshot succeeds.
+  const MmapSnapshotBackend* backend() const { return backend_.get(); }
 
   // Number of leaf entries stored.
   size_t Size() const { return size_; }
@@ -174,11 +166,8 @@ class RStarTree {
 
   Node* GetNode(PageId id) const;
 
-  // Writes every live node to backend_ at its own id.
-  Status PersistAllNodes();
-
   // Points the serial query overloads at a fresh NewSharedQueryPool (over
-  // the backend once one is attached) and a protocol Session on it.
+  // the snapshot once packed) and a protocol Session on it.
   void OpenSerialCache();
 
   // Descends from the root to a node at `target_level`, recording the
@@ -210,7 +199,7 @@ class RStarTree {
   mutable PageStore store_;
   // Destroyed bottom-up: the session before the pool it views, the pool
   // before the backend and codec it borrows.
-  std::unique_ptr<PageBackend> backend_;
+  std::unique_ptr<MmapSnapshotBackend> backend_;
   std::unique_ptr<PageCodec> codec_;
   std::unique_ptr<SharedBufferPool> pool_;
   std::unique_ptr<SharedBufferPool::Session> session_;

@@ -469,4 +469,44 @@ Status MmapSnapshotBackend::Free(PageId id) {
                                     std::to_string(id) + ")");
 }
 
+// ---------------------------------------------------------------------------
+// PackStoreSnapshot
+
+Result<std::unique_ptr<MmapSnapshotBackend>> PackStoreSnapshot(
+    PageStore* store, const PageCodec& codec,
+    const std::function<int(const Page&)>& level_of,
+    const std::function<void(const std::vector<PageId>&)>& rewrite_ids,
+    const std::string& path, const SnapshotFile::Options& options) {
+  std::vector<PageId> order;
+  std::vector<int> levels(store->AllocatedCount(), 0);
+  order.reserve(store->PageCount());
+  for (PageId id = 0; id < store->AllocatedCount(); ++id) {
+    if (!store->IsLive(id)) continue;
+    order.push_back(id);
+    levels[id] = level_of(*store->Get(id));
+  }
+  std::stable_sort(order.begin(), order.end(), [&levels](PageId a, PageId b) {
+    return levels[a] < levels[b];
+  });
+  std::vector<PageId> remap(store->AllocatedCount(), kInvalidPage);
+  for (size_t slot = 0; slot < order.size(); ++slot) {
+    remap[order[slot]] = static_cast<PageId>(slot);
+  }
+  rewrite_ids(remap);
+  store->Reindex(remap);
+
+  Result<std::unique_ptr<SnapshotWriter>> writer = SnapshotWriter::Create(path);
+  if (!writer.ok()) return writer.status();
+  uint8_t page[kPageSize];
+  for (PageId slot = 0; slot < order.size(); ++slot) {
+    codec.Encode(*store->Get(slot), page);
+    Status status = writer.value()->Append(
+        static_cast<uint32_t>(levels[order[slot]]), page);
+    if (!status.ok()) return status;
+  }
+  Status status = writer.value()->Finish();
+  if (!status.ok()) return status;
+  return MmapSnapshotBackend::Open(path, options);
+}
+
 }  // namespace stindex

@@ -2,11 +2,14 @@
 #define STINDEX_STORAGE_SNAPSHOT_FILE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "storage/page_backend.h"
+#include "storage/page_codec.h"
+#include "storage/page_store.h"
 #include "util/status.h"
 
 namespace stindex {
@@ -156,6 +159,22 @@ class MmapSnapshotBackend : public PageBackend {
  private:
   std::unique_ptr<SnapshotFile> file_;
 };
+
+// Packs the live pages of a frozen tree's `store` into a new snapshot at
+// `path` and opens it for serving. Pages go bottom-up — by `level_of`,
+// then by id — into dense slots. `rewrite_ids(remap)` runs first, so the
+// tree can move its own page pointers (children, roots, parents) through
+// the same bijection: remap[old_id] is the new slot, kInvalidPage for a
+// freed id. Then the store is reindexed, and only then is anything
+// written. On failure the store and its tree stay consistent and
+// queryable in memory; no snapshot is opened. The remap is a bijection
+// of the page-id access sequence, so per-query LRU miss counts are
+// unchanged.
+Result<std::unique_ptr<MmapSnapshotBackend>> PackStoreSnapshot(
+    PageStore* store, const PageCodec& codec,
+    const std::function<int(const Page&)>& level_of,
+    const std::function<void(const std::vector<PageId>&)>& rewrite_ids,
+    const std::string& path, const SnapshotFile::Options& options);
 
 }  // namespace stindex
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <memory>
+#include <utility>
 
 #include "util/check.h"
 #include "util/trace.h"
@@ -27,9 +28,13 @@ struct ThreadPool::Batch {
   size_t pending = 0;
   std::exception_ptr error;  // first failure wins
 
-  void Finish(std::exception_ptr e) {
+  // Takes the chunk's failure, if any, and releases it under `mu`: the
+  // worker keeps no reference once its chunk is done, so the caller that
+  // rethrows holds the exception alone and frees it on its own thread.
+  void Finish(std::exception_ptr* e) {
     std::lock_guard<std::mutex> lock(mu);
-    if (e && !error) error = e;
+    if (*e && !error) error = std::move(*e);
+    *e = nullptr;
     if (--pending == 0) done_cv.notify_all();
   }
 };
@@ -120,7 +125,7 @@ void ThreadPool::ParallelFor(
         } catch (...) {
           error = std::current_exception();
         }
-        batch->Finish(error);
+        batch->Finish(&error);
       });
     }
   }
@@ -128,7 +133,11 @@ void ThreadPool::ParallelFor(
 
   std::unique_lock<std::mutex> lock(batch->mu);
   batch->done_cv.wait(lock, [&batch] { return batch->pending == 0; });
-  if (batch->error) std::rethrow_exception(batch->error);
+  // Move the failure out: the last task may destroy the batch on its
+  // worker thread, which must not drop the caller's exception there.
+  const std::exception_ptr error = std::move(batch->error);
+  lock.unlock();
+  if (error) std::rethrow_exception(error);
 }
 
 ThreadPool& ThreadPool::Shared(int min_threads) {

@@ -1,10 +1,11 @@
 // Differential tests for the storage backends: the same seeded dataset
-// indexed three ways — the legacy in-memory PageStore, a persisted
-// MemoryPageBackend, and a persisted FilePageBackend — must answer every
-// query byte-identically and with identical per-query buffer-miss counts
-// (the paper's "disk accesses" metric), at every thread count. This pins
-// the tentpole property that moving the experiments onto real files
-// changes nothing about the reported numbers.
+// indexed two ways — the in-memory PageStore and a packed snapshot read
+// through pread — must answer every query byte-identically and with
+// identical per-query buffer-miss counts (the paper's "disk accesses"
+// metric), at every thread count. This pins the property that moving the
+// experiments onto real files changes nothing about the reported
+// numbers. The page-file backend the live tier journals to is checked
+// for reopen fidelity, and a live-ingested tree against a batch build.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -22,6 +23,7 @@
 #include "storage/file_backend.h"
 #include "storage/page_backend.h"
 #include "storage/shared_buffer_pool.h"
+#include "storage/snapshot_file.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
 
@@ -71,11 +73,16 @@ std::vector<STQuery> MakeQueries() {
   return queries;
 }
 
-std::unique_ptr<PageBackend> MakeFileBackend(const std::string& name) {
-  Result<std::unique_ptr<FilePageBackend>> backend =
-      FilePageBackend::Create(::testing::TempDir() + "/" + name + ".stpages");
-  EXPECT_TRUE(backend.ok()) << backend.status().ToString();
-  return std::move(backend).value();
+// Packs `tree` into a snapshot served through pread (no mapping), so
+// every page the pool loads is one counted backend read.
+template <typename Tree>
+void PackForPread(Tree* tree, const std::string& name) {
+  SnapshotFile::Options options;
+  options.force_pread = true;
+  const Status status =
+      tree->PackSnapshot(::testing::TempDir() + "/" + name + ".stsnap", options);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ASSERT_FALSE(tree->backend()->file().mapped());
 }
 
 // Runs the query set against `tree` with `num_threads` workers, each
@@ -191,8 +198,8 @@ std::vector<QueryOutcome> RunRStarShared(const RStarTree& tree,
                    });
 }
 
-uint64_t FileReads() {
-  return MetricRegistry::Global().GetCounter("backend.file.reads")->Value();
+uint64_t PreadReads() {
+  return MetricRegistry::Global().GetCounter("backend.mmap.reads")->Value();
 }
 
 uint64_t TotalMisses(const std::vector<QueryOutcome>& outcomes) {
@@ -212,27 +219,22 @@ TEST(BackendDifferentialTest, PprTreeIdenticalAcrossBackendsAndThreads) {
   const std::vector<STQuery> queries = MakeQueries();
 
   const std::unique_ptr<PprTree> store_tree = BuildPprTree(records);
-  const std::unique_ptr<PprTree> memory_tree = BuildPprTree(records);
-  ASSERT_TRUE(
-      memory_tree->AttachBackend(std::make_unique<MemoryPageBackend>()).ok());
-  const std::unique_ptr<PprTree> file_tree = BuildPprTree(records);
-  ASSERT_TRUE(file_tree->AttachBackend(MakeFileBackend("diff_ppr")).ok());
+  const std::unique_ptr<PprTree> pread_tree = BuildPprTree(records);
+  PackForPread(pread_tree.get(), "diff_ppr");
 
   const std::vector<QueryOutcome> baseline = RunPpr(*store_tree, queries, 1);
   ASSERT_GT(TotalMisses(baseline), 0u);
 
-  const uint64_t reads_before = FileReads();
+  const uint64_t reads_before = PreadReads();
   for (const int threads : {1, 2, 7}) {
     EXPECT_EQ(RunPpr(*store_tree, queries, threads), baseline)
         << "store backend, threads=" << threads;
-    EXPECT_EQ(RunPpr(*memory_tree, queries, threads), baseline)
-        << "memory backend, threads=" << threads;
-    EXPECT_EQ(RunPpr(*file_tree, queries, threads), baseline)
-        << "file backend, threads=" << threads;
+    EXPECT_EQ(RunPpr(*pread_tree, queries, threads), baseline)
+        << "pread snapshot, threads=" << threads;
   }
-  // The file runs really hit the disk: every page load was a pread, and
-  // the store-mode pools loaded exactly the same pages.
-  EXPECT_EQ(FileReads() - reads_before, 3 * TotalLoads(baseline));
+  // The snapshot runs really hit the disk: every page load was a pread,
+  // and the store-mode pools loaded exactly the same pages.
+  EXPECT_EQ(PreadReads() - reads_before, 3 * TotalLoads(baseline));
 }
 
 TEST(BackendDifferentialTest, PprSharedPoolMatchesPrivateBaseline) {
@@ -244,9 +246,8 @@ TEST(BackendDifferentialTest, PprSharedPoolMatchesPrivateBaseline) {
   const std::vector<STQuery> queries = MakeQueries();
 
   const std::unique_ptr<PprTree> store_tree = BuildPprTree(records);
-  const std::unique_ptr<PprTree> file_tree = BuildPprTree(records);
-  ASSERT_TRUE(
-      file_tree->AttachBackend(MakeFileBackend("diff_ppr_shared")).ok());
+  const std::unique_ptr<PprTree> pread_tree = BuildPprTree(records);
+  PackForPread(pread_tree.get(), "diff_ppr_shared");
 
   const std::vector<QueryOutcome> baseline = RunPpr(*store_tree, queries, 1);
   ASSERT_GT(TotalMisses(baseline), 0u);
@@ -254,12 +255,12 @@ TEST(BackendDifferentialTest, PprSharedPoolMatchesPrivateBaseline) {
   for (const int threads : {1, 2, 7, 16}) {
     EXPECT_EQ(RunPprShared(*store_tree, queries, threads), baseline)
         << "store backend, threads=" << threads;
-    const uint64_t reads_before = FileReads();
-    EXPECT_EQ(RunPprShared(*file_tree, queries, threads), baseline)
-        << "file backend, threads=" << threads;
+    const uint64_t reads_before = PreadReads();
+    EXPECT_EQ(RunPprShared(*pread_tree, queries, threads), baseline)
+        << "pread snapshot, threads=" << threads;
     // Shared residency: the run really read the file, but never more
     // than the protocol misses (shared frames only deduplicate).
-    const uint64_t reads = FileReads() - reads_before;
+    const uint64_t reads = PreadReads() - reads_before;
     EXPECT_GT(reads, 0u) << "threads=" << threads;
     EXPECT_LE(reads, TotalMisses(baseline)) << "threads=" << threads;
   }
@@ -278,25 +279,20 @@ TEST(BackendDifferentialTest, RStarTreeIdenticalAcrossBackendsAndThreads) {
     return tree;
   };
   const std::unique_ptr<RStarTree> store_tree = build();
-  const std::unique_ptr<RStarTree> memory_tree = build();
-  ASSERT_TRUE(
-      memory_tree->AttachBackend(std::make_unique<MemoryPageBackend>()).ok());
-  const std::unique_ptr<RStarTree> file_tree = build();
-  ASSERT_TRUE(file_tree->AttachBackend(MakeFileBackend("diff_rstar")).ok());
+  const std::unique_ptr<RStarTree> pread_tree = build();
+  PackForPread(pread_tree.get(), "diff_rstar");
 
   const std::vector<QueryOutcome> baseline = RunRStar(*store_tree, queries, 1);
   ASSERT_GT(TotalMisses(baseline), 0u);
 
-  const uint64_t reads_before = FileReads();
+  const uint64_t reads_before = PreadReads();
   for (const int threads : {1, 2, 7}) {
     EXPECT_EQ(RunRStar(*store_tree, queries, threads), baseline)
         << "store backend, threads=" << threads;
-    EXPECT_EQ(RunRStar(*memory_tree, queries, threads), baseline)
-        << "memory backend, threads=" << threads;
-    EXPECT_EQ(RunRStar(*file_tree, queries, threads), baseline)
-        << "file backend, threads=" << threads;
+    EXPECT_EQ(RunRStar(*pread_tree, queries, threads), baseline)
+        << "pread snapshot, threads=" << threads;
   }
-  EXPECT_EQ(FileReads() - reads_before, 3 * TotalLoads(baseline));
+  EXPECT_EQ(PreadReads() - reads_before, 3 * TotalLoads(baseline));
 }
 
 TEST(BackendDifferentialTest, RStarSharedPoolMatchesPrivateBaseline) {
@@ -312,9 +308,8 @@ TEST(BackendDifferentialTest, RStarSharedPoolMatchesPrivateBaseline) {
     return tree;
   };
   const std::unique_ptr<RStarTree> store_tree = build();
-  const std::unique_ptr<RStarTree> file_tree = build();
-  ASSERT_TRUE(
-      file_tree->AttachBackend(MakeFileBackend("diff_rstar_shared")).ok());
+  const std::unique_ptr<RStarTree> pread_tree = build();
+  PackForPread(pread_tree.get(), "diff_rstar_shared");
 
   const std::vector<QueryOutcome> baseline = RunRStar(*store_tree, queries, 1);
   ASSERT_GT(TotalMisses(baseline), 0u);
@@ -322,56 +317,56 @@ TEST(BackendDifferentialTest, RStarSharedPoolMatchesPrivateBaseline) {
   for (const int threads : {1, 2, 7, 16}) {
     EXPECT_EQ(RunRStarShared(*store_tree, queries, threads), baseline)
         << "store backend, threads=" << threads;
-    const uint64_t reads_before = FileReads();
-    EXPECT_EQ(RunRStarShared(*file_tree, queries, threads), baseline)
-        << "file backend, threads=" << threads;
-    const uint64_t reads = FileReads() - reads_before;
+    const uint64_t reads_before = PreadReads();
+    EXPECT_EQ(RunRStarShared(*pread_tree, queries, threads), baseline)
+        << "pread snapshot, threads=" << threads;
+    const uint64_t reads = PreadReads() - reads_before;
     EXPECT_GT(reads, 0u) << "threads=" << threads;
     EXPECT_LE(reads, TotalMisses(baseline)) << "threads=" << threads;
   }
 }
 
 TEST(BackendDifferentialTest, FileBackendSurvivesReopen) {
-  // Persist an R*-tree to a file, then read the raw pages back through a
-  // freshly opened backend: every live page must decode to the same bytes
-  // the original backend serves.
-  const std::vector<SegmentRecord> records = MakeRecords();
-  const std::vector<Box3D> boxes = SegmentsToBoxes(records, 0, kTimeDomain);
-  auto tree = std::make_unique<RStarTree>();
-  for (size_t i = 0; i < boxes.size(); ++i) {
-    tree->Insert(boxes[i], static_cast<DataId>(i));
+  // Write a PPR-tree's node pages straight into a page file — one
+  // EncodeAndWrite per node, the checkpoint path — at sparse slots, free
+  // a few, then reopen the file: the slot map and every page's bytes
+  // must survive, identical to the in-memory reference backend.
+  const std::unique_ptr<PprTree> tree = BuildPprTree(MakeRecords());
+  std::vector<PageId> slots(tree->NodeCount());
+  ASSERT_GT(slots.size(), 4u);
+  for (size_t i = 0; i < slots.size(); ++i) {
+    slots[i] = static_cast<PageId>(2 * i + 1);
   }
+  MemoryPageBackend reference;
+  ASSERT_TRUE(tree->PersistNodesForCheckpoint(&reference, slots).ok());
   const std::string path = ::testing::TempDir() + "/diff_reopen.stpages";
-  Result<std::unique_ptr<FilePageBackend>> created =
-      FilePageBackend::Create(path);
-  ASSERT_TRUE(created.ok()) << created.status().ToString();
-  ASSERT_TRUE(tree->AttachBackend(std::move(created).value()).ok());
-  const size_t live = tree->backend()->LivePageCount();
-  const size_t slots = tree->backend()->SlotCount();
-  ASSERT_GT(live, 0u);
-
-  std::vector<std::vector<uint8_t>> original(slots);
-  for (PageId id = 0; id < slots; ++id) {
-    if (!tree->backend()->IsAllocated(id)) continue;
-    original[id].resize(kPageSize);
-    ASSERT_TRUE(tree->backend()->Read(id, original[id].data()).ok());
-  }
-  tree.reset();  // syncs and closes the file
+  {
+    Result<std::unique_ptr<FilePageBackend>> created =
+        FilePageBackend::Create(path);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    FilePageBackend& file = *created.value();
+    ASSERT_TRUE(tree->PersistNodesForCheckpoint(&file, slots).ok());
+    for (size_t i = 0; i + 1 < slots.size(); i += 4) {
+      ASSERT_TRUE(file.Free(slots[i]).ok());
+      ASSERT_TRUE(reference.Free(slots[i]).ok());
+    }
+    ASSERT_TRUE(file.Sync().ok());
+  }  // closes the file
 
   Result<std::unique_ptr<FilePageBackend>> reopened =
       FilePageBackend::Open(path);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_EQ(reopened.value()->LivePageCount(), live);
-  EXPECT_EQ(reopened.value()->SlotCount(), slots);
-  for (PageId id = 0; id < slots; ++id) {
-    if (original[id].empty()) {
-      EXPECT_FALSE(reopened.value()->IsAllocated(id));
-      continue;
-    }
-    uint8_t buffer[kPageSize];
-    ASSERT_TRUE(reopened.value()->Read(id, buffer).ok());
-    EXPECT_EQ(std::memcmp(buffer, original[id].data(), kPageSize), 0)
+  EXPECT_EQ(reopened.value()->LivePageCount(), reference.LivePageCount());
+  ASSERT_EQ(reopened.value()->SlotCount(), reference.SlotCount());
+  for (PageId id = 0; id < reference.SlotCount(); ++id) {
+    ASSERT_EQ(reopened.value()->IsAllocated(id), reference.IsAllocated(id))
         << "page " << id;
+    if (!reference.IsAllocated(id)) continue;
+    uint8_t expected[kPageSize];
+    uint8_t buffer[kPageSize];
+    ASSERT_TRUE(reference.Read(id, expected).ok());
+    ASSERT_TRUE(reopened.value()->Read(id, buffer).ok());
+    EXPECT_EQ(std::memcmp(buffer, expected, kPageSize), 0) << "page " << id;
   }
 }
 

@@ -2,8 +2,8 @@
 // checkpoint page images a live tier journals (one sealed node page per
 // node plus the root-journal meta), and the page/snapshot files whose
 // absence must read as NotFound rather than as an I/O failure. Packed
-// snapshots and attached backends are covered in snapshot_backend_test
-// and backend_differential_test.
+// snapshots are covered in snapshot_backend_test and
+// backend_differential_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -1,8 +1,8 @@
 // Differential tests for the zero-copy mmap snapshot backend: a tree
 // packed into a read-only snapshot must answer every query byte-
 // identically and with identical per-query protocol-mode miss counts to
-// the in-memory store, the MemoryPageBackend and the FilePageBackend, at
-// every thread count — packing remaps page ids through a bijection, and
+// the in-memory store at every thread count, whether served from the
+// mapping or through pread — packing remaps page ids through a bijection, and
 // LRU behaviour depends only on the equality structure of the access
 // sequence. The suite also covers the pread fallback, a LiveTier whose
 // historical tree was packed mid-stream, and open-time corruption
@@ -79,13 +79,6 @@ std::vector<STQuery> MakeQueries() {
 
 std::string SnapPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name + ".stsnap";
-}
-
-std::unique_ptr<PageBackend> MakeFileBackend(const std::string& name) {
-  Result<std::unique_ptr<FilePageBackend>> backend =
-      FilePageBackend::Create(::testing::TempDir() + "/" + name + ".stpages");
-  EXPECT_TRUE(backend.ok()) << backend.status().ToString();
-  return std::move(backend).value();
 }
 
 template <typename RunQuery>
@@ -206,11 +199,6 @@ TEST(SnapshotBackendTest, PprSnapshotIdenticalAcrossBackendsAndThreads) {
   const std::vector<STQuery> queries = MakeQueries();
 
   const std::unique_ptr<PprTree> store_tree = BuildPprTree(records);
-  const std::unique_ptr<PprTree> memory_tree = BuildPprTree(records);
-  ASSERT_TRUE(
-      memory_tree->AttachBackend(std::make_unique<MemoryPageBackend>()).ok());
-  const std::unique_ptr<PprTree> file_tree = BuildPprTree(records);
-  ASSERT_TRUE(file_tree->AttachBackend(MakeFileBackend("snap_ppr_file")).ok());
   const std::unique_ptr<PprTree> packed = BuildPprTree(records);
   ASSERT_TRUE(packed->PackSnapshot(SnapPath("snap_ppr")).ok());
   ASSERT_NE(packed->backend(), nullptr);
@@ -223,9 +211,7 @@ TEST(SnapshotBackendTest, PprSnapshotIdenticalAcrossBackendsAndThreads) {
       pread_tree->PackSnapshot(SnapPath("snap_ppr_pread"), pread_options)
           .ok());
   EXPECT_EQ(Metric("backend.mmap.fallback_opens"), fallbacks_before + 1);
-  EXPECT_FALSE(static_cast<const MmapSnapshotBackend*>(pread_tree->backend())
-                   ->file()
-                   .mapped());
+  EXPECT_FALSE(pread_tree->backend()->file().mapped());
 
   const std::vector<QueryOutcome> baseline = RunPpr(*store_tree, queries, 1);
   ASSERT_GT(TotalMisses(baseline), 0u);
@@ -234,8 +220,6 @@ TEST(SnapshotBackendTest, PprSnapshotIdenticalAcrossBackendsAndThreads) {
   const uint64_t mmap_reads_before = Metric("backend.mmap.reads");
   const uint64_t borrows_before = Metric("backend.mmap.borrows");
   for (const int threads : {1, 2, 7, 16}) {
-    EXPECT_EQ(RunPpr(*memory_tree, queries, threads), baseline)
-        << "memory backend, threads=" << threads;
     EXPECT_EQ(RunPpr(*packed, queries, threads), baseline)
         << "mmap backend, threads=" << threads;
     EXPECT_EQ(RunPpr(*pread_tree, queries, threads), baseline)
@@ -250,8 +234,6 @@ TEST(SnapshotBackendTest, PprSnapshotIdenticalAcrossBackendsAndThreads) {
   EXPECT_EQ(Metric("backend.mmap.reads"),
             mmap_reads_before + 4 * TotalMisses(baseline));
   EXPECT_GT(Metric("backend.mmap.borrows"), borrows_before);
-  // file_tree is the control: identical through a real page file too.
-  EXPECT_EQ(RunPpr(*file_tree, queries, 7), baseline);
 }
 
 TEST(SnapshotBackendTest, RStarSnapshotIdenticalAcrossBackendsAndThreads) {
@@ -272,12 +254,6 @@ TEST(SnapshotBackendTest, RStarSnapshotIdenticalAcrossBackendsAndThreads) {
     return tree;
   };
   const std::unique_ptr<RStarTree> store_tree = build();
-  const std::unique_ptr<RStarTree> memory_tree = build();
-  ASSERT_TRUE(
-      memory_tree->AttachBackend(std::make_unique<MemoryPageBackend>()).ok());
-  const std::unique_ptr<RStarTree> file_tree = build();
-  ASSERT_TRUE(
-      file_tree->AttachBackend(MakeFileBackend("snap_rstar_file")).ok());
   const std::unique_ptr<RStarTree> packed = build();
   ASSERT_TRUE(packed->PackSnapshot(SnapPath("snap_rstar")).ok());
   const std::unique_ptr<RStarTree> pread_tree = build();
@@ -292,8 +268,6 @@ TEST(SnapshotBackendTest, RStarSnapshotIdenticalAcrossBackendsAndThreads) {
 
   const uint64_t file_reads_before = Metric("backend.file.reads");
   for (const int threads : {1, 2, 7, 16}) {
-    EXPECT_EQ(RunRStar(*memory_tree, queries, threads), baseline)
-        << "memory backend, threads=" << threads;
     EXPECT_EQ(RunRStar(*packed, queries, threads), baseline)
         << "mmap backend, threads=" << threads;
     EXPECT_EQ(RunRStar(*pread_tree, queries, threads), baseline)
@@ -302,7 +276,6 @@ TEST(SnapshotBackendTest, RStarSnapshotIdenticalAcrossBackendsAndThreads) {
         << "mmap backend, shared pool, threads=" << threads;
   }
   EXPECT_EQ(Metric("backend.file.reads"), file_reads_before);
-  EXPECT_EQ(RunRStar(*file_tree, queries, 7), baseline);
 }
 
 TEST(SnapshotBackendTest, PackedTreeRefusesMutation) {

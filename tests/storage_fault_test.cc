@@ -223,47 +223,79 @@ bool SamePage(const PageBackend& a, const PageBackend& b, PageId id) {
          std::memcmp(left, right, kPageSize) == 0;
 }
 
-TEST(FaultPersistTest, AttachBackendWriteFailureNamesPageAndKeepsTree) {
+// Protocol misses of one serial snapshot query (the paper's metric).
+uint64_t SnapshotMisses(const PprTree& tree, Time t) {
+  tree.ResetQueryState();
+  Snapshot(tree, t);
+  return tree.stats().misses;
+}
+
+// A snapshot path under a directory that does not exist: the pack fails
+// when it creates the file, after the in-memory id remap.
+std::string MissingDirSnapshotPath(const std::string& name) {
+  return ::testing::TempDir() + "/missing_dir_" + name + "/tree.stsnap";
+}
+
+TEST(FaultPersistTest, PprPackSnapshotFailureKeepsTree) {
   std::unique_ptr<PprTree> tree = SmallPprTree();
   ASSERT_GT(tree->PageCount(), 5u);
   const std::vector<PprDataId> before = Snapshot(*tree, 80);
-  FaultInjectingBackend::Faults faults;
-  faults.fail_write_at = 3;  // nodes are written in id order: page 2
-  const Status status =
-      tree->AttachBackend(std::make_unique<FaultInjectingBackend>(
-          std::make_unique<MemoryPageBackend>(), faults));
+  const uint64_t misses = SnapshotMisses(*tree, 80);
+  const Status status = tree->PackSnapshot(MissingDirSnapshotPath("ppr"));
   EXPECT_EQ(status.code(), StatusCode::kIoError);
-  EXPECT_TRUE(Contains(status.message(), "write of page 2"))
+  EXPECT_TRUE(Contains(status.message(), "missing_dir_ppr"))
       << status.ToString();
-  EXPECT_TRUE(Contains(status.message(), "injected write failure"));
-  // No abort, and the tree is still whole in memory: not attached, same
-  // answers, and a second attach succeeds.
+  // No abort, and the tree is still whole in memory: not packed, same
+  // answers and misses, valid structure, and a second pack succeeds.
   EXPECT_EQ(tree->backend(), nullptr);
   EXPECT_EQ(Snapshot(*tree, 80), before);
-  ASSERT_TRUE(tree->AttachBackend(std::make_unique<MemoryPageBackend>()).ok());
+  EXPECT_EQ(SnapshotMisses(*tree, 80), misses);
+  tree->CheckInvariants();
+  ASSERT_TRUE(
+      tree->PackSnapshot(::testing::TempDir() + "/fault_ppr_retry.stsnap")
+          .ok());
+  ASSERT_NE(tree->backend(), nullptr);
   EXPECT_EQ(Snapshot(*tree, 80), before);
+  EXPECT_EQ(SnapshotMisses(*tree, 80), misses);
 }
 
-TEST(FaultPersistTest, RStarAttachBackendWriteFailureNamesPage) {
+TEST(FaultPersistTest, RStarPackSnapshotFailureKeepsTree) {
   RStarTree tree;
   Rng rng(9);
+  std::vector<Box3D> boxes;
   for (DataId i = 0; i < 600; ++i) {
     const double x = rng.UniformDouble(0, 0.9);
     const double y = rng.UniformDouble(0, 0.9);
     const double t = rng.UniformDouble(0, 0.9);
-    tree.Insert(Box3D(x, y, t, x + 0.05, y + 0.05, t + 0.05), i);
+    boxes.emplace_back(x, y, t, x + 0.05, y + 0.05, t + 0.05);
+    tree.Insert(boxes.back(), i);
+  }
+  // Deletes free nodes, so the failed pack's remap compacts holes.
+  for (DataId i = 0; i < 600; i += 3) {
+    ASSERT_TRUE(tree.Delete(boxes[i], i));
   }
   ASSERT_GT(tree.PageCount(), 4u);
-  FaultInjectingBackend::Faults faults;
-  faults.fail_write_at = 4;
-  const Status status =
-      tree.AttachBackend(std::make_unique<FaultInjectingBackend>(
-          std::make_unique<MemoryPageBackend>(), faults));
+  const Box3D query(0.2, 0.2, 0.2, 0.7, 0.7, 0.7);
+  const auto search = [&tree, &query] {
+    std::vector<DataId> out;
+    tree.Search(query, &out);
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const std::vector<DataId> before = search();
+  ASSERT_FALSE(before.empty());
+  const Status status = tree.PackSnapshot(MissingDirSnapshotPath("rstar"));
   EXPECT_EQ(status.code(), StatusCode::kIoError);
-  EXPECT_TRUE(Contains(status.message(), "write of page 3"))
+  EXPECT_TRUE(Contains(status.message(), "missing_dir_rstar"))
       << status.ToString();
   EXPECT_EQ(tree.backend(), nullptr);
+  EXPECT_EQ(search(), before);
   tree.CheckInvariants();
+  ASSERT_TRUE(
+      tree.PackSnapshot(::testing::TempDir() + "/fault_rstar_retry.stsnap")
+          .ok());
+  ASSERT_NE(tree.backend(), nullptr);
+  EXPECT_EQ(search(), before);
 }
 
 TEST(FaultPersistTest, CheckpointWriteFailureNamesSlotAndRetrySucceeds) {

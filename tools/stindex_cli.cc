@@ -193,38 +193,24 @@ std::vector<SegmentRecord> LoadSegments(const std::string& path) {
   return std::move(result).value();
 }
 
-// Backend selection for `query`: --backend store|memory|file|mmap plus
-// --db DIR for the file-backed ones. "store" is the legacy in-memory
-// PageStore (no serialization); "memory" and "file" persist the index
-// through a PageBackend so buffer misses are actual page reads; "mmap"
-// packs the tree into a read-only snapshot file under --db and serves it
-// zero-copy. Returns the validated backend name.
+// Backend selection for `query`: --backend store|mmap plus --db DIR.
+// "store" is the in-memory PageStore (no serialization); "mmap" packs the
+// tree into a read-only snapshot file under --db and serves it zero-copy,
+// so buffer misses are actual page reads (STINDEX_SNAPSHOT_NO_MMAP=1
+// serves them through pread). Returns the validated backend name.
 std::string GetBackendFlags(Flags& flags, std::string* db_path) {
   const std::string backend = flags.Get("backend", "store");
   *db_path = flags.Get("db", "");
-  if (backend != "store" && backend != "memory" && backend != "file" &&
-      backend != "mmap") {
-    std::fprintf(
-        stderr,
-        "--backend must be 'store', 'memory', 'file' or 'mmap', got '%s'\n",
-        backend.c_str());
+  if (backend != "store" && backend != "mmap") {
+    std::fprintf(stderr, "--backend must be 'store' or 'mmap', got '%s'\n",
+                 backend.c_str());
     std::exit(2);
   }
-  if ((backend == "file" || backend == "mmap") && db_path->empty()) {
-    std::fprintf(stderr, "--backend %s requires --db DIR\n", backend.c_str());
+  if (backend == "mmap" && db_path->empty()) {
+    std::fprintf(stderr, "--backend mmap requires --db DIR\n");
     std::exit(2);
   }
   return backend;
-}
-
-std::unique_ptr<PageBackend> MakeCliBackend(const std::string& backend,
-                                            const std::string& db_path,
-                                            const std::string& tag) {
-  if (backend == "memory") return std::make_unique<MemoryPageBackend>();
-  Result<std::unique_ptr<FilePageBackend>> file =
-      FilePageBackend::Create(db_path + "/" + tag + ".stpages");
-  if (!file.ok()) Die(file.status());
-  return std::move(file).value();
 }
 
 QuerySetConfig NamedQuerySet(const std::string& name) {
@@ -456,10 +442,6 @@ int CmdQuery(Flags& flags) {
       const Status status =
           ppr->PackSnapshot(db_path + "/query_ppr.stsnap");
       if (!status.ok()) Die(status);
-    } else if (backend != "store") {
-      const Status status =
-          ppr->AttachBackend(MakeCliBackend(backend, db_path, "query_ppr"));
-      if (!status.ok()) Die(status);
     }
     const std::unique_ptr<SharedBufferPool> pool =
         ppr->NewSharedQueryPool(buffer_pages);
@@ -501,10 +483,6 @@ int CmdQuery(Flags& flags) {
     if (backend == "mmap") {
       const Status status =
           tree.PackSnapshot(db_path + "/query_rstar.stsnap");
-      if (!status.ok()) Die(status);
-    } else if (backend != "store") {
-      const Status status =
-          tree.AttachBackend(MakeCliBackend(backend, db_path, "query_rstar"));
       if (!status.ok()) Die(status);
     }
     const std::unique_ptr<SharedBufferPool> pool =
@@ -723,7 +701,7 @@ int Usage() {
       "  queries   --set NAME --out FILE [--count N] [--time-domain T]\n"
       "  stats     --segments FILE [--index ppr|rstar|hr]\n"
       "  query     --segments FILE --queries FILE [--index ppr|rstar|hr]\n"
-      "            [--backend store|memory|file|mmap] [--db DIR] [--explain]\n"
+      "            [--backend store|mmap] [--db DIR] [--explain]\n"
       "            [--objects FILE] [--trace FILE] [--buffer-pages N]\n"
       "            --backend mmap packs the tree into DIR/query_*.stsnap\n"
       "            and serves it zero-copy through the mmap backend\n"
